@@ -32,6 +32,8 @@ __all__ = [
     "identity_record",
     "apply_to_input",
     "apply_geometric",
+    "InverseWarp",
+    "inverse_warp",
     "invert_on_heatmap",
     "invert_on_heatmap_tensor",
 ]
@@ -128,70 +130,70 @@ def _grey(colour: np.ndarray) -> np.ndarray:
     return 0.299 * colour[0] + 0.587 * colour[1] + 0.114 * colour[2]
 
 
-def _apply_jitter(colour: np.ndarray, jitter) -> np.ndarray:
+def _apply_jitter(colour: np.ndarray, jitter, contrast_mean) -> np.ndarray:
+    """Per-pixel colour jitter. ``contrast_mean`` is the mean grey level of
+    the whole brightness-scaled image, so any part of the image jitters as
+    it would in the whole."""
     brightness, contrast, saturation = jitter
     out = colour * brightness
     if contrast != 1.0:
-        out = out * contrast + (1.0 - contrast) * _grey(out).mean()
+        out = out * contrast + (1.0 - contrast) * contrast_mean
     if saturation != 1.0:
         grey = _grey(out)
         out = out * saturation + (1.0 - saturation) * grey[None, :, :]
     return np.clip(out, 0.0, 1.0)
 
 
-def _rotation_sources(h: int, w: int, deg: float):
-    """Source sampling positions for rotating content by ``deg`` about the
-    image centre: each output pixel samples the input at minus ``deg``."""
+def _rotation_sources(h: int, w: int, deg: float, ys: np.ndarray, xs: np.ndarray):
+    """Source sampling positions of output pixels (ys, xs) when content
+    rotates by ``deg`` about the centre of an (h, w) image: each output
+    pixel samples the input at minus ``deg``."""
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(deg)
     cos, sin = math.cos(rad), math.sin(rad)
-    ys, xs = np.mgrid[0:h, 0:w]
     dx, dy = xs - cx, ys - cy
     sx = cos * dx + sin * dy + cx
     sy = -sin * dx + cos * dy + cy
     return sx, sy
 
 
-def _rotate_channels(channels: np.ndarray, deg: float, bilinear: np.ndarray,
-                     fills: np.ndarray) -> np.ndarray:
-    """Rotate a (C, H, W) stack; per-channel interpolation choice and fill."""
-    if deg == 0.0:
-        return channels.copy()
-    c, h, w = channels.shape
-    sx, sy = _rotation_sources(h, w, deg)
-    out = np.empty_like(channels)
-    bl = np.flatnonzero(bilinear)
-    nn = np.flatnonzero(~bilinear)
-    if bl.size:
+def _warp_window(channels: np.ndarray, rec: AugmentationRecord, window: tuple,
+                 bilinear: bool, fill: float, pointwise=None) -> np.ndarray:
+    """Flip, rotate and crop a (C, H, W) stack, computing only ``window``
+    (row, col, height, width) of the crop. Pixels rotated in from outside
+    the image take ``fill``. ``pointwise`` maps source pixels before they
+    are sampled; it runs only on the part of the image the window reads."""
+    if rec.flip:
+        channels = channels[:, :, ::-1]
+    h, w = rec.image_h, rec.image_w
+    r0, c0, _, _ = rec.crop
+    wr, wc, wh, ww = window
+    top, left = r0 + wr, c0 + wc
+    if rec.rotation_deg == 0.0:
+        src = channels[:, top:top + wh, left:left + ww]
+        return pointwise(src) if pointwise is not None else src.copy()
+    ys, xs = np.mgrid[top:top + wh, left:left + ww]
+    sx, sy = _rotation_sources(h, w, rec.rotation_deg, ys, xs)
+    if bilinear:
         inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
         x0 = np.clip(np.floor(sx), 0, w - 2).astype(np.intp)
         y0 = np.clip(np.floor(sy), 0, h - 2).astype(np.intp)
         fx, fy = sx - x0, sy - y0
-        w00, w01 = (1 - fx) * (1 - fy), fx * (1 - fy)
-        w10, w11 = (1 - fx) * fy, fx * fy
-        for i in bl:
-            r = channels[i]
-            v = (r[y0, x0] * w00 + r[y0, x0 + 1] * w01
-                 + r[y0 + 1, x0] * w10 + r[y0 + 1, x0 + 1] * w11)
-            out[i] = np.where(inside, v, fills[i])
-    if nn.size:
+        if pointwise is not None:
+            y_lo, x_lo = y0.min(), x0.min()
+            channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
+            y0, x0 = y0 - y_lo, x0 - x_lo
+        v = (channels[:, y0, x0] * ((1 - fx) * (1 - fy))
+             + channels[:, y0, x0 + 1] * (fx * (1 - fy))
+             + channels[:, y0 + 1, x0] * ((1 - fx) * fy)
+             + channels[:, y0 + 1, x0 + 1] * (fx * fy))
+    else:
         xn = np.rint(sx).astype(np.intp)
         yn = np.rint(sy).astype(np.intp)
         inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
-        xc, yc = np.clip(xn, 0, w - 1), np.clip(yn, 0, h - 1)
-        for i in nn:
-            out[i] = np.where(inside, channels[i][yc, xc], fills[i])
-    return out
-
-
-def _apply_geometric_stack(channels: np.ndarray, rec: AugmentationRecord,
-                           bilinear: np.ndarray, fills: np.ndarray) -> np.ndarray:
-    if rec.flip:
-        channels = channels[:, :, ::-1]
-    channels = _rotate_channels(np.asarray(channels, dtype=np.float64),
-                                rec.rotation_deg, bilinear, fills)
-    r0, c0, ch, cw = rec.crop
-    return channels[:, r0:r0 + ch, c0:c0 + cw]
+        src = channels[:, np.clip(yn, 0, h - 1), np.clip(xn, 0, w - 1)]
+        v = pointwise(src) if pointwise is not None else src
+    return np.where(inside, v, fill)
 
 
 def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
@@ -200,25 +202,39 @@ def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
     if raster.shape != (rec.image_h, rec.image_w):
         raise AugmentError(f"raster shape {raster.shape} does not match record "
                            f"{(rec.image_h, rec.image_w)}")
-    return _apply_geometric_stack(raster[None], rec, np.array([bilinear]),
-                                  np.array([fill]))[0]
+    _, _, ch, cw = rec.crop
+    return _warp_window(np.asarray(raster, dtype=np.float64)[None], rec, (0, 0, ch, cw),
+                        bilinear, fill)[0]
 
 
-def apply_to_input(inp: InputTensor, rec: AugmentationRecord) -> InputTensor:
+def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
+                   window: tuple | None = None) -> InputTensor:
     """Augment a 5-channel input: jitter the colour, then flip, rotate and
     crop every channel. Colour resamples bilinearly; depth and box mask use
     nearest neighbour so depth never interpolates across the unknown marker
-    and the mask stays binary."""
+    and the mask stays binary.
+
+    ``window`` = (row, col, height, width) within the crop computes only
+    that part of the augmented crop; it equals the same slice of the whole
+    crop bit for bit (the jitter's contrast still uses the whole image's
+    mean grey level)."""
     if inp.channels.shape[1:] != (rec.image_h, rec.image_w):
         raise AugmentError(f"input size {inp.channels.shape[1:]} does not match record "
                            f"{(rec.image_h, rec.image_w)}")
-    stacked = np.concatenate([_apply_jitter(inp.channels[:3], rec.jitter),
-                              inp.channels[3:]], axis=0)
-    out = _apply_geometric_stack(
-        stacked, rec,
-        bilinear=np.array([True, True, True, False, False]),
-        fills=np.zeros(5),
-    )
+    _, _, ch, cw = rec.crop
+    if window is None:
+        window = (0, 0, ch, cw)
+    wr, wc, wh, ww = window
+    if wr < 0 or wc < 0 or wh <= 0 or ww <= 0 or wr + wh > ch or wc + ww > cw:
+        raise AugmentError(f"window {window} is not inside the {ch}x{cw} crop")
+    colour = inp.channels[:3]
+    brightness, contrast, _ = rec.jitter
+    mean = _grey(colour * brightness).mean() if contrast != 1.0 else None
+    out = np.concatenate([
+        _warp_window(colour, rec, window, True, 0.0,
+                     lambda c: _apply_jitter(c, rec.jitter, mean)),
+        _warp_window(inp.channels[3:], rec, window, False, 0.0),
+    ])
     return InputTensor(out)
 
 
@@ -227,49 +243,59 @@ def apply_to_input(inp: InputTensor, rec: AugmentationRecord) -> InputTensor:
 
 
 @dataclass(frozen=True)
-class _LinearWarp:
-    """Sparse bilinear gather: out[p] = sum_k wts[p,k] * src[idx[p,k]],
-    with invalid output pixels taking a constant fill value."""
+class InverseWarp:
+    """The inverse augmentation as a sparse bilinear gather from a window
+    of the augmented crop: out[:, rows] = sum_k wts[:, k] * src[:, idx[:, k]]
+    with src the window, flattened; every other pixel of the original
+    frame takes a constant fill value."""
 
-    idx: np.ndarray      # (HW, 4) flat indices into the source raster
-    wts: np.ndarray      # (HW, 4)
-    valid: np.ndarray    # (HW,) bool
-    out_shape: tuple
-    src_shape: tuple
+    rows: np.ndarray     # (n,) flat original-frame pixels the map produces
+    idx: np.ndarray      # (n, taps) flat indices into the window
+    wts: np.ndarray      # (n, taps)
+    window: tuple        # (row, col, height, width) within the crop
+    out_shape: tuple     # original (H, W)
 
     def forward(self, src_flat: np.ndarray, fill: float) -> np.ndarray:
-        """src_flat: (C, src_size) -> (C, HW)."""
-        out = (src_flat[:, self.idx[:, 0]] * self.wts[:, 0]
-               + src_flat[:, self.idx[:, 1]] * self.wts[:, 1]
-               + src_flat[:, self.idx[:, 2]] * self.wts[:, 2]
-               + src_flat[:, self.idx[:, 3]] * self.wts[:, 3])
-        out[:, ~self.valid] = fill
+        """src_flat: (C, window size) -> (C, H*W)."""
+        out = np.full((src_flat.shape[0], self.out_shape[0] * self.out_shape[1]), fill)
+        v = src_flat[:, self.idx[:, 0]] * self.wts[:, 0]
+        for k in range(1, self.idx.shape[1]):
+            v += src_flat[:, self.idx[:, k]] * self.wts[:, k]
+        out[:, self.rows] = v
         return out
 
     def adjoint(self, grad_out_flat: np.ndarray) -> np.ndarray:
-        """Transpose map: (C, HW) -> (C, src_size)."""
+        """Transpose map: (C, H*W) -> (C, window size)."""
         c = grad_out_flat.shape[0]
-        src_size = self.src_shape[0] * self.src_shape[1]
-        v = self.valid
-        g = grad_out_flat[:, v]
-        chan_base = (np.arange(c, dtype=np.intp) * src_size)[:, None]
-        acc = np.zeros(c * src_size)
-        for k in range(4):
-            flat_idx = (chan_base + self.idx[v, k][None, :]).ravel()
-            acc += np.bincount(flat_idx, weights=(g * self.wts[v, k]).ravel(),
-                               minlength=c * src_size)
-        return acc.reshape(c, src_size)
+        size = self.window[2] * self.window[3]
+        g = grad_out_flat[:, self.rows]
+        chan_base = (np.arange(c, dtype=np.intp) * size)[:, None]
+        acc = np.zeros(c * size)
+        for k in range(self.idx.shape[1]):
+            flat_idx = (chan_base + self.idx[:, k][None, :]).ravel()
+            acc += np.bincount(flat_idx, weights=(g * self.wts[:, k]).ravel(),
+                               minlength=c * size)
+        return acc.reshape(c, size)
 
 
-def _inverse_warp(rec: AugmentationRecord) -> _LinearWarp:
+def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
+                 halo: int | None = None) -> InverseWarp:
     """Build the map taking an augmented-crop heatmap back to the original
     frame: original pixel q samples the augmented raster at
-    crop(rotate(flip(q)))."""
+    crop(rotate(flip(q))).
+
+    The map produces the pixels of ``keep`` (an (H, W) bool mask; default
+    all) that have a pre-image in the crop. Its window is the whole crop
+    when ``halo`` is None. Otherwise it is the footprint (the bounding
+    rectangle of the crop pixels the produced pixels read) grown by
+    ``halo`` and clipped to the crop, and it is empty when no pixel is
+    produced. Without rotation every produced pixel reads one crop pixel."""
     h, w = rec.image_h, rec.image_w
     r0, c0, ch, cw = rec.crop
-    ys, xs = np.mgrid[0:h, 0:w]
-    xs = xs.astype(np.float64).ravel()
-    ys = ys.astype(np.float64).ravel()
+    q = np.arange(h * w) if keep is None else np.flatnonzero(keep)
+    ys, xs = np.divmod(q, w)
+    xs = xs.astype(np.float64)
+    ys = ys.astype(np.float64)
     if rec.flip:
         xs = (w - 1) - xs
     if rec.rotation_deg != 0.0:
@@ -283,16 +309,30 @@ def _inverse_warp(rec: AugmentationRecord) -> _LinearWarp:
     xs = xs - c0
     ys = ys - r0
     valid = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
-    x0 = np.clip(np.floor(xs), 0, max(cw - 2, 0)).astype(np.intp)
-    y0 = np.clip(np.floor(ys), 0, max(ch - 2, 0)).astype(np.intp)
-    x1 = np.minimum(x0 + 1, cw - 1)
-    y1 = np.minimum(y0 + 1, ch - 1)
-    fx = np.where(valid, xs - x0, 0.0)
-    fy = np.where(valid, ys - y0, 0.0)
-    idx = np.stack([y0 * cw + x0, y0 * cw + x1, y1 * cw + x0, y1 * cw + x1], axis=1)
-    wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
-    wts[~valid] = 0.0
-    return _LinearWarp(idx=idx, wts=wts, valid=valid, out_shape=(h, w), src_shape=(ch, cw))
+    rows, xs, ys = q[valid], xs[valid], ys[valid]
+    if rec.rotation_deg == 0.0:
+        tap_y, tap_x = ys.astype(np.intp)[:, None], xs.astype(np.intp)[:, None]
+        wts = np.ones((rows.size, 1))
+    else:
+        x0 = np.clip(np.floor(xs), 0, max(cw - 2, 0)).astype(np.intp)
+        y0 = np.clip(np.floor(ys), 0, max(ch - 2, 0)).astype(np.intp)
+        x1 = np.minimum(x0 + 1, cw - 1)
+        y1 = np.minimum(y0 + 1, ch - 1)
+        fx, fy = xs - x0, ys - y0
+        tap_y = np.stack([y0, y0, y1, y1], axis=1)
+        tap_x = np.stack([x0, x1, x0, x1], axis=1)
+        wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
+    if halo is None:
+        window = (0, 0, ch, cw)
+    elif not rows.size:
+        window = (0, 0, 0, 0)
+    else:
+        top, left = max(int(tap_y.min()) - halo, 0), max(int(tap_x.min()) - halo, 0)
+        bottom = min(int(tap_y.max()) + 1 + halo, ch)
+        right = min(int(tap_x.max()) + 1 + halo, cw)
+        window = (top, left, bottom - top, right - left)
+    idx = (tap_y - window[0]) * window[3] + (tap_x - window[1])
+    return InverseWarp(rows=rows, idx=idx, wts=wts, window=window, out_shape=(h, w))
 
 
 def invert_on_heatmap(h: Heatmap, rec: AugmentationRecord,
@@ -302,24 +342,30 @@ def invert_on_heatmap(h: Heatmap, rec: AugmentationRecord,
     r0, c0, ch, cw = rec.crop
     if h.raster.shape != (ch, cw):
         raise AugmentError(f"heatmap shape {h.raster.shape} does not match crop {(ch, cw)}")
-    warp = _inverse_warp(rec)
-    out = warp.forward(h.raster.reshape(1, -1), epsilon)
+    out = inverse_warp(rec).forward(h.raster.reshape(1, -1), epsilon)
     return Heatmap(view=h.view, joint=h.joint,
                    raster=out.reshape(rec.image_h, rec.image_w))
 
 
 def invert_on_heatmap_tensor(tape: Tape | None, t: Tensor, rec: AugmentationRecord,
-                             epsilon: float = DEFAULT_EPSILON) -> Tensor:
-    """Tape-recorded inverse augmentation of a (J, crop_h, crop_w) tensor.
+                             epsilon: float = DEFAULT_EPSILON,
+                             warp: InverseWarp | None = None) -> Tensor:
+    """Tape-recorded inverse augmentation of a (J, h, w) tensor that holds
+    ``warp``'s window of the augmented crop; the default warp produces
+    every pixel and reads the whole crop. Returns the (J, H, W) raster of
+    the original frame: the warp's pixels carry their gathered values,
+    every other pixel takes epsilon.
 
     The map is linear in the heatmap values, so its registered adjoint is
     the exact transpose; epsilon-filled pixels receive no gradient."""
-    r0, c0, ch, cw = rec.crop
-    if t.values.ndim != 3 or t.values.shape[1:] != (ch, cw):
-        raise AugmentError(f"tensor shape {t.shape} does not match crop {(ch, cw)}")
+    if warp is None:
+        warp = inverse_warp(rec)
+    _, _, wh, ww = warp.window
+    if t.values.ndim != 3 or t.values.shape[1:] != (wh, ww):
+        raise AugmentError(f"tensor shape {t.shape} does not match window {(wh, ww)}")
     j = t.shape[0]
-    warp = _inverse_warp(rec)
-    out_vals = warp.forward(t.values.reshape(j, -1), epsilon).reshape(j, rec.image_h, rec.image_w)
+    out_vals = warp.forward(t.values.reshape(j, wh * ww), epsilon).reshape(
+        (j,) + warp.out_shape)
 
     def vjp(g):
         return (warp.adjoint(g.reshape(j, -1)).reshape(t.shape),)

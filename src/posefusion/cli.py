@@ -116,8 +116,13 @@ def _cmd_synth_gen(args) -> int:
 def _cmd_train(args) -> int:
     doc = {}
     if args.config:
-        with open(args.config, "r", encoding="ascii") as f:
-            doc = json.load(f)
+        try:
+            with open(args.config, "r", encoding="ascii") as f:
+                doc = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise P.PipelineError(f"{args.config}: not a JSON file: {e}") from None
+        if not isinstance(doc, dict):
+            raise P.PipelineError(f"{args.config}: expected a JSON object")
     overrides = {
         "data_root": args.data, "fold": args.fold, "mode": args.mode,
         "epochs": args.epochs, "lr": args.lr, "seed": args.seed,
@@ -126,7 +131,7 @@ def _cmd_train(args) -> int:
     if args.no_augment:
         doc["augment"] = False
     doc["checkpoint_path"] = args.checkpoint
-    cfg = P.TrainConfig.from_dict(doc)
+    cfg = P.TrainConfig.from_dict(doc, args.config or "training config")
     result = P.train(cfg)
     print(f"trained {cfg.mode} for {cfg.epochs} epochs; "
           f"best epoch {result.best_epoch} (loss {min(result.loss_curve):.4f})")

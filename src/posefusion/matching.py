@@ -219,21 +219,30 @@ def load_detections(path) -> dict:
     with each box carrying x_min/y_min/x_max/y_max and an optional
     confidence score (accepted, ignored). The same schema as annotation
     boxes, so detector output and ground truth interchange."""
-    with open(path, "r", encoding="ascii") as f:
-        doc = json.load(f)
-    if "views" not in doc:
-        raise MatchingError(f"{path}: missing 'views'")
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            doc = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MatchingError(f"{path}: not a JSON file: {e}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("views"), list):
+        raise MatchingError(f"{path}: missing 'views' list")
     out = {}
-    for vdoc in doc["views"]:
-        v = int(vdoc["view"])
+    for k, vdoc in enumerate(doc["views"]):
+        try:
+            v = int(vdoc["view"])
+        except (TypeError, KeyError, ValueError):
+            raise MatchingError(f"{path}: views[{k}]: no integer 'view'") from None
+        boxes = vdoc.get("boxes", [])
+        if not isinstance(boxes, list):
+            raise MatchingError(f"{path}: views[{v}].boxes: not a list")
         out[v] = []
-        for i, bdoc in enumerate(vdoc.get("boxes", [])):
+        for i, bdoc in enumerate(boxes):
             try:
                 out[v].append(BoundingBox(
                     view=v, person=bdoc.get("person", i),
                     x_min=int(bdoc["x_min"]), y_min=int(bdoc["y_min"]),
                     x_max=int(bdoc["x_max"]), y_max=int(bdoc["y_max"]),
                 ))
-            except (KeyError, HeatmapError) as e:
-                raise MatchingError(f"{path}: views[{v}].boxes[{i}]: {e}")
+            except (AttributeError, KeyError, TypeError, ValueError, HeatmapError) as e:
+                raise MatchingError(f"{path}: views[{v}].boxes[{i}]: {e}") from None
     return out

@@ -12,6 +12,7 @@ pixels.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .augment import (
     AugmentationConfig,
     apply_to_input,
     identity_record,
+    inverse_warp,
     invert_on_heatmap_tensor,
     sample_augmentation,
 )
@@ -117,6 +119,12 @@ class ToyPredictor:
         return cls(params), extra
 
 
+# Pixels of context each output pixel of the predictor reads on every
+# side: outputs on a window shrunk by HALO equal those of a whole-image run.
+HALO = sum((shape[-1] - 1) // 2 for name, shape in ToyPredictor.PARAM_SHAPES.items()
+           if name.endswith("_w"))
+
+
 def _select_row(tape: Tape | None, t: Tensor, row: int) -> Tensor:
     """Tape node extracting one slice along a tensor's first axis."""
     vals = t.values[row]
@@ -153,16 +161,22 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
     predict, invert the augmentation, exclusion-mask. Returns one
     ViewForward per supporting view (empty list = no supporting views).
 
+    Masking keeps only the valid pixels (inside the person's box, with
+    known depth), so each view computes only what they read. The inverse
+    warp is built for the valid pixels; augmentation and predictor run on
+    its window, the crop pixels those read grown by HALO, where the
+    predictor's outputs at the pixels read equal those of a whole-crop
+    run. The warp writes the masked raster directly. A view whose valid
+    pixels all lie outside the crop runs no predictor.
+
     With ``oracle_heatmaps`` (view -> (J,H,W) array), the predictor and
     augmentation are bypassed and the provided heatmaps are masked
     directly; this is the oracle path used by fusion verification.
     """
-    supporting = [sv for sv in scene.views if person in sv.boxes]
-    if not supporting:
-        return []
-
-    view_data = []
-    for sv in supporting:
+    out = []
+    for sv in scene.views:
+        if person not in sv.boxes:
+            continue
         box = sv.boxes[person]
         valid = valid_pixel_mask(box, sv.depth)
         if coords_cache is not None:
@@ -172,40 +186,19 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
             coords = coords_cache[key]
         else:
             coords = view_cloud_coords(sv.depth, sv.camera)
-        view_data.append((sv, box, valid, coords))
-
-    preds = {}
-    if oracle_heatmaps is not None:
-        for sv, _box, _valid, _coords in view_data:
-            preds[sv.view] = Tensor(oracle_heatmaps[sv.view])
-    else:
-        recs, augmented = {}, {}
-        for sv, box, _valid, _coords in view_data:
+        if oracle_heatmaps is not None:
+            masked = Tensor(np.where(valid, oracle_heatmaps[sv.view], mask_cfg.epsilon))
+        else:
             rec = records.get(sv.view) if records else None
             if rec is None:
                 rec = identity_record(sv.height, sv.width)
-            recs[sv.view] = rec
-            inp = build_input_tensor(sv.colour, sv.depth, box)
-            augmented[sv.view] = apply_to_input(inp, rec).channels
-        shapes = {a.shape for a in augmented.values()}
-        if len(shapes) == 1 and len(view_data) > 1:
-            stacked = np.stack([augmented[sv.view] for sv, *_ in view_data])
-            batched = predictor.forward(tape, stacked)
-            for i, (sv, *_rest) in enumerate(view_data):
-                preds[sv.view] = _select_row(tape, batched, i)
-        else:
-            for sv, *_rest in view_data:
-                preds[sv.view] = predictor.forward(tape, augmented[sv.view])
-        for sv, *_rest in view_data:
-            preds[sv.view] = invert_on_heatmap_tensor(tape, preds[sv.view],
-                                                      recs[sv.view], mask_cfg.epsilon)
-
-    out = []
-    for sv, box, valid, coords in view_data:
-        mask01 = np.broadcast_to(valid, (J,) + valid.shape).astype(np.float64)
-        gated = tg.multiply(tape, preds[sv.view], Tensor(mask01))
-        fill = Tensor((1.0 - mask01) * mask_cfg.epsilon)
-        masked = tg.add(tape, gated, fill)
+            warp = inverse_warp(rec, valid, HALO)
+            if warp.rows.size:
+                inp = build_input_tensor(sv.colour, sv.depth, box)
+                heat = predictor.forward(tape, apply_to_input(inp, rec, warp.window).channels)
+            else:
+                heat = Tensor(np.zeros((J, 0, 0)))
+            masked = invert_on_heatmap_tensor(tape, heat, rec, mask_cfg.epsilon, warp)
         out.append(ViewForward(view=sv.view, masked=masked, valid=valid, coords=coords))
     return out
 
@@ -215,48 +208,75 @@ def _fused_centers(tape: Tape | None, forwards: list) -> Tensor:
                              [f.coords for f in forwards])
 
 
+def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | None:
+    """Mean Euclidean distance of predicted joints to their targets, as one
+    tape node. ``predictions[i]`` is a (J, k) tensor and ``targets[i]``
+    maps its joint rows to (k,) target arrays; rows without a target are
+    not scored. None when nothing is scored."""
+    terms = [(i, j, predictions[i].values[j] - target)
+             for i, rows in enumerate(targets) for j, target in rows.items()]
+    if not terms:
+        return None
+    norms = [float(np.linalg.norm(diff)) for _i, _j, diff in terms]
+    total = 0.0
+    for n in norms:
+        total += n
+    count = float(len(terms))
+
+    def vjp(g):
+        scale = g / count
+        grads = [np.zeros(p.shape) for p in predictions]
+        for (i, j, diff), n in zip(terms, norms):
+            if n != 0.0:  # subgradient 0 at a zero distance
+                grads[i][j] = scale * diff / n
+        return tuple(grads)
+
+    out = Tensor(total / count, requires_grad=any(p.requires_grad for p in predictions))
+    if not np.isfinite(out.values):
+        raise tg.NonFiniteError("op 'mean_distance' produced non-finite values")
+    if tape is not None and out.requires_grad:
+        tape.record(tuple(predictions), out, vjp, "mean_distance")
+    return out
+
+
 def _person_loss_3d(tape: Tape, forwards: list, gt: Pose3) -> Tensor | None:
     """Mean 3D joint distance (meters) for one person, on the tape."""
-    centers = _fused_centers(tape, forwards)
-    total, count = None, 0
-    for j, name in enumerate(JOINT_NAMES):
-        target = gt.joints[name]
-        if target is None:
-            continue
-        diff = tg.subtract(tape, _select_row(tape, centers, j), Tensor(target.as_array()))
-        dist = tg.euclidean_norm(tape, diff)
-        total = dist if total is None else tg.add(tape, total, dist)
-        count += 1
-    if total is None:
-        return None
-    return tg.scalar_divide(tape, total, float(count))
+    targets = {j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)
+               if gt.joints[name] is not None}
+    return _mean_distance(tape, [_fused_centers(tape, forwards)], [targets])
 
 
 def _person_loss_2d(tape: Tape, forwards: list, scene: Scene, person: int) -> Tensor | None:
     """Mean 2D joint distance (pixels) over this person's supporting views."""
-    total, count = None, 0
+    coms, targets = [], []
     for f in forwards:
         if not f.valid.any():
             continue
         h, w = f.valid.shape
-        coms = _multi_view_soft_centers(tape, [f.masked], [pixel_coordinates(h, w)],
-                                        "soft_center_2d")
+        coms.append(_multi_view_soft_centers(tape, [f.masked], [pixel_coordinates(h, w)],
+                                             "soft_center_2d"))
         ref = scene.gt_pose2(person, f.view)
-        for j, name in enumerate(JOINT_NAMES):
-            target = ref.joints[name]
-            if target is None:
-                continue
-            diff = tg.subtract(tape, _select_row(tape, coms, j), Tensor(np.asarray(target)))
-            dist = tg.euclidean_norm(tape, diff)
-            total = dist if total is None else tg.add(tape, total, dist)
-            count += 1
-    if total is None:
-        return None
-    return tg.scalar_divide(tape, total, float(count))
+        targets.append({j: np.asarray(ref.joints[name]) for j, name in enumerate(JOINT_NAMES)
+                        if ref.joints[name] is not None})
+    return _mean_distance(tape, coms, targets)
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+_INT = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+_NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
+# field name -> (what it must be, check)
+_FIELD_KINDS = {
+    "mode": _TEXT, "epochs": _INT, "lr": _NUMBER, "seed": _INT,
+    "augment": ("true or false", lambda v: isinstance(v, bool)),
+    "crop_h": _INT, "crop_w": _INT, "flip_prob": _NUMBER, "rot_deg_max": _NUMBER,
+    "jitter_low": _NUMBER, "jitter_high": _NUMBER,
+    "data_root": _PATH, "fold": _TEXT, "checkpoint_path": _PATH,
+}
 
 
 @dataclass
@@ -279,18 +299,27 @@ class TrainConfig:
     MODES = ("proposed-3d", "baseline-2d")
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            kind, accepts = _FIELD_KINDS[name]
+            if not accepts(value):
+                raise PipelineError(f"training config field '{name}' must be {kind}, "
+                                    f"got {value!r}")
         if self.mode not in self.MODES:
             raise PipelineError(f"mode must be one of {self.MODES}, got '{self.mode}'")
         if self.epochs <= 0 or self.lr <= 0:
             raise PipelineError("epochs and lr must be positive")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+    def from_dict(cls, doc: dict, source: str = "training config") -> "TrainConfig":
+        """Build a config from a JSON document; errors name ``source``."""
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise PipelineError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**doc)
+            raise PipelineError(f"{source}: unknown training config keys: {sorted(unknown)}")
+        try:
+            return cls(**doc)
+        except PipelineError as e:
+            raise PipelineError(f"{source}: {e}") from None
 
 
 @dataclass

@@ -215,10 +215,13 @@ def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor
     def vjp(g):
         gv = g if batched else g[None]
         gmat = np.ascontiguousarray(gv.swapaxes(0, 1)).reshape(c_out, n * h * w)
-        gx = _col2im(wmat.T @ gmat, n, c_in, h, w)
+        gx = None
+        if x.requires_grad:  # the predictor's input image needs none
+            gx = _col2im(wmat.T @ gmat, n, c_in, h, w)
+            gx = gx if batched else gx[0]
         gw = (gmat @ cols.T).reshape(c_out, c_in, 3, 3)
         gb = gmat.sum(axis=1)
-        return (gx if batched else gx[0]), gw, gb
+        return gx, gw, gb
 
     return _result(tape, (x, weight, bias), y, vjp, "conv2d")
 
@@ -465,9 +468,21 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise TensorGradError(f"checkpoint {path}: bad header: {e}") from e
         payload = f.read()
+    entries = header.get("params") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise TensorGradError(f"checkpoint {path}: header has no 'params' list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise TensorGradError(f"checkpoint {path}: params[{i}] needs a 'name' string "
+                                  "and a 'shape' list of sizes")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise TensorGradError(f"checkpoint {path}: header 'extra' is not an object")
     params: dict[str, Tensor] = {}
     offset = 0
-    for entry in header["params"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
@@ -478,4 +493,4 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
         offset += nbytes
     if offset != len(payload):
         raise TensorGradError(f"checkpoint {path}: {len(payload) - offset} trailing bytes")
-    return params, header.get("extra", {})
+    return params, extra

@@ -3,8 +3,8 @@ with its measured numbers once its assertions hold.
 
 Criterion 7 trains both loss modes on the full 200-scene synthetic set
 and criterion 8 reuses the trained proposed-3d model, so those two share
-session-scoped fixtures; expect roughly ten minutes of wall time for the
-pair on a 2-core machine.
+session-scoped fixtures; expect about two and a half minutes of wall time
+for the pair on a 2-core machine.
 """
 
 import itertools
@@ -117,6 +117,18 @@ class TestCriterion3FusionOracle:
         _report("3 (fusion oracle)",
                 f"50 scenes, min margin under bound {worst_margin:.3f} cm, "
                 f"{elapsed:.0f}s")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a joint seen in one view gets softmax weight on the pixel "
+        "of an occluding surface next to it, far off in depth; passes once fixed"))
+    def test_oracle_fusion_beats_quantization_bound_on_depth_edge_scene(self):
+        # oracle MPJPE 8.946 cm against a bound of 8.026 cm
+        cfg = SynthConfig(seed=253002, min_persons=3, max_persons=3,
+                          train_scenes=1, test_scenes=0)
+        train_scenes, test_scenes = generate_synthetic(cfg)
+        mpjpe, bound = P.oracle_fusion_mpjpe((train_scenes + test_scenes)[0],
+                                             cfg.heatmap_sigma, cfg.heatmap_amplitude)
+        assert mpjpe <= bound + 1e-4, f"oracle MPJPE {mpjpe:.4f} cm above bound {bound:.4f} cm"
 
 
 class TestCriterion4SoftmaxMaskProperties:

@@ -135,6 +135,21 @@ class TestApplyToInput:
         np.testing.assert_array_equal(out.channels[3:], inp.channels[3:])
         assert out.channels[:3].min() >= 0.0 and out.channels[:3].max() <= 1.0
 
+    def test_window_equals_slice_of_whole_crop(self):
+        g = np.random.default_rng(3)
+        inp = _input(g)
+        for rec in [sample_augmentation(_config(jitter_low=0.5, jitter_high=1.5), g)
+                    for _ in range(20)] + [identity_record(H, W)]:
+            _, _, ch, cw = rec.crop
+            whole = apply_to_input(inp, rec).channels
+            for _ in range(3):
+                wr, wc = int(g.integers(0, ch)), int(g.integers(0, cw))
+                wh, ww = int(g.integers(1, ch - wr + 1)), int(g.integers(1, cw - wc + 1))
+                part = apply_to_input(inp, rec, (wr, wc, wh, ww)).channels
+                np.testing.assert_array_equal(part, whole[:, wr:wr + wh, wc:wc + ww])
+        with pytest.raises(AugmentError, match="window"):
+            apply_to_input(inp, identity_record(H, W), (0, 0, H + 1, W))
+
 
 class TestInvertOnHeatmap:
     def test_flip_involution_is_bit_exact(self, rng):

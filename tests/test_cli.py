@@ -201,6 +201,53 @@ class TestFuse:
         capsys.readouterr()
 
 
+class TestMalformedInputs:
+    """Malformed files end in exit 1 and a one-line message naming the
+    file and the field, not in a traceback."""
+
+    @staticmethod
+    def _error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_checkpoint_header_without_params(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(b'{"extra": {"mode": "proposed-3d"}}\n')
+        rc = main(["eval", "--data", str(dataset), "--checkpoint", str(ckpt),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(ckpt) in err and "'params'" in err
+
+    def test_detections_view_entry_without_view(self, dataset, tmp_path, capsys):
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps({"views": [{"boxes": []}]}))
+        rc = main(["match", "--scene", str(dataset / "scenes" / "scene_0000"),
+                   "--detections", str(det), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(det) in err and "'view'" in err
+
+    def test_detections_file_not_json(self, dataset, tmp_path, capsys):
+        det = tmp_path / "det.json"
+        det.write_text("views: none\n")
+        rc = main(["match", "--scene", str(dataset / "scenes" / "scene_0000"),
+                   "--detections", str(det), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(det) in err and "JSON" in err
+
+    def test_train_config_field_of_wrong_type(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": "3"}))
+        rc = main(["train", "--config", str(cfg), "--data", str(dataset),
+                   "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(cfg) in err and "'epochs'" in err
+
+
 def test_gradcheck_smoke_runs_quick_suites(capsys):
     # the full chain suite is exercised by the acceptance tests; here only
     # confirm the op-level suites run clean through the public API

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from posefusion import pipeline as P
+from posefusion import tensorgrad as tg
+from posefusion.augment import (
+    AugmentationConfig,
+    AugmentationRecord,
+    apply_to_input,
+    identity_record,
+    invert_on_heatmap_tensor,
+    sample_augmentation,
+)
 from posefusion.data import SynthConfig, generate_synthetic
-from posefusion.fusion import JOINT_NAMES
+from posefusion.fusion import JOINT_NAMES, view_cloud_coords
 from posefusion.gradcheck import tiny_synth_config
+from posefusion.heatmap import MaskConfig, build_input_tensor, valid_pixel_mask
 from posefusion.pipeline import (
     EvalReport,
     PipelineError,
@@ -16,7 +26,7 @@ from posefusion.pipeline import (
     forward_scene,
     train,
 )
-from posefusion.tensorgrad import Tensor, finite_difference_check
+from posefusion.tensorgrad import Tape, Tensor, backward, finite_difference_check
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +140,105 @@ class TestForwardScene:
 
         err = finite_difference_check(fn, base.params["conv1_w"], 1e-5)
         assert err < 1e-4
+
+
+def _whole_crop_forward(predictor, scene, person, records, tape):
+    """Reference for forward_scene: the predictor runs on the whole
+    augmented crop, the inverse warp maps every pixel, and exclusion
+    masking follows as separate multiply and add nodes."""
+    eps = MaskConfig().epsilon
+    out = []
+    for sv in scene.views:
+        if person not in sv.boxes:
+            continue
+        box = sv.boxes[person]
+        valid = valid_pixel_mask(box, sv.depth)
+        rec = records[sv.view]
+        inp = build_input_tensor(sv.colour, sv.depth, box)
+        inv = invert_on_heatmap_tensor(tape, predictor.forward(tape, apply_to_input(inp, rec).channels),
+                                       rec, eps)
+        mask01 = np.broadcast_to(valid, inv.shape).astype(np.float64)
+        masked = tg.add(tape, tg.multiply(tape, inv, Tensor(mask01)),
+                        Tensor((1.0 - mask01) * eps))
+        out.append(P.ViewForward(view=sv.view, masked=masked, valid=valid,
+                                 coords=view_cloud_coords(sv.depth, sv.camera)))
+    return out
+
+
+def _box_free_crop(sv, person, size=12):
+    """A record whose crop is a corner of the image clear of the person's box."""
+    box = sv.boxes[person]
+    for r0 in (0, sv.height - size):
+        for c0 in (0, sv.width - size):
+            if (r0 + size <= box.y_min or r0 >= box.y_max
+                    or c0 + size <= box.x_min or c0 >= box.x_max):
+                return AugmentationRecord(image_h=sv.height, image_w=sv.width, flip=False,
+                                          crop=(r0, c0, size, size), rotation_deg=0.0,
+                                          jitter=(1.0, 1.0, 1.0))
+    raise AssertionError("every corner crop overlaps the box")
+
+
+class TestWindowedForward:
+    """forward_scene runs augmentation and predictor on the inverse warp's
+    window only; its masked rasters, losses and gradients must equal those
+    of the whole-crop path."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # occluded views give persons seen in one, two and three views
+        _, scenes = generate_synthetic(SynthConfig(seed=12, train_scenes=0, test_scenes=4,
+                                                   occlusion_drop=0.35))
+        rng = np.random.default_rng(0)
+        out = []
+        for scene in scenes:
+            for person in scene.persons():
+                views = [sv for sv in scene.views if person in sv.boxes]
+                aug = AugmentationConfig(image_h=scene.views[0].height,
+                                         image_w=scene.views[0].width, crop_h=56, crop_w=72)
+                out.append(("identity", scene, person,
+                            {sv.view: identity_record(sv.height, sv.width) for sv in views}))
+                out.append(("sampled", scene, person,
+                            {sv.view: sample_augmentation(aug, rng) for sv in views}))
+                out.append(("box cropped away", scene, person,
+                            {sv.view: _box_free_crop(sv, person) for sv in views}))
+        return out
+
+    def test_cases_cover_view_counts_and_records(self, cases):
+        counts = {len(records) for _kind, _scene, _person, records in cases}
+        assert counts == {1, 2, 3}
+        sampled = [r for kind, *_rest, recs in cases if kind == "sampled" for r in recs.values()]
+        assert any(r.flip for r in sampled) and all(r.rotation_deg != 0.0 for r in sampled)
+
+    @pytest.mark.parametrize("mode", ["proposed-3d", "baseline-2d"])
+    def test_matches_whole_crop_path(self, cases, mode):
+        predictor = ToyPredictor.initialise(7)
+        for kind, scene, person, records in cases:
+            results = []
+            for run in (P.forward_scene, _whole_crop_forward):
+                tape = Tape()
+                forwards = run(predictor, scene, person, records, tape)
+                if mode == "proposed-3d":
+                    loss = P._person_loss_3d(tape, forwards, scene.gt_pose3(person))
+                else:
+                    loss = P._person_loss_2d(tape, forwards, scene, person)
+                grads = backward(tape, loss) if loss is not None else {}
+                results.append((forwards, loss, grads))
+            (got, loss, grads), (want, ref_loss, ref_grads) = results
+            where = f"{kind}, {scene.id} person {person}"
+            assert [f.view for f in got] == [f.view for f in want], where
+            for f, r in zip(got, want):
+                assert np.array_equal(f.masked.values, r.masked.values), where
+            if kind == "box cropped away":
+                assert all(np.all(f.masked.values == MaskConfig().epsilon) for f in got), where
+            if ref_loss is None:
+                assert loss is None, where
+                continue
+            assert abs(loss.item() - ref_loss.item()) <= 1e-15 * abs(ref_loss.item()), where
+            params = predictor.params.values()
+            largest = max(np.abs(ref_grads.get(p, 0.0)).max() for p in params)
+            for name, p in predictor.params.items():
+                diff = np.abs(grads.get(p, 0.0) - ref_grads.get(p, 0.0)).max()
+                assert diff <= 1e-12 * largest, (where, name, diff)
 
 
 class TestTraining:

@@ -114,6 +114,31 @@ class TestBackward:
         with pytest.raises(TensorGradError, match="consumed"):
             tg.multiply(tape, x, x)
 
+    def test_conv2d_skips_image_gradient_only(self, rng, monkeypatch):
+        # an input that needs no gradient gets none computed; the parameter
+        # gradients are bitwise those of a run that also computes it
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        image = rng.normal(size=(2, 6, 7))
+        weights = Tensor(rng.normal(size=(3, 6, 7)))
+        scatters = []
+        col2im = tg._col2im
+        monkeypatch.setattr(tg, "_col2im", lambda *a: scatters.append(1) or col2im(*a))
+
+        def run(image_grad):
+            scatters.clear()
+            tape = Tape()
+            x = Tensor(image, requires_grad=image_grad)
+            y = tg.relu(tape, tg.conv2d(tape, x, w, b))
+            grads = backward(tape, tg.mean(tape, tg.multiply(tape, y, weights)))
+            return x in grads, len(scatters), grads
+
+        on, off = run(True), run(False)
+        assert on[:2] == (True, 1) and off[:2] == (False, 0)
+        on, off = on[2], off[2]
+        np.testing.assert_array_equal(on[w], off[w])
+        np.testing.assert_array_equal(on[b], off[b])
+
     def test_no_double_counting_linearity(self, rng):
         # grad of (f + f) must equal exactly twice grad of f
         v = rng.normal(size=7)
