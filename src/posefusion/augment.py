@@ -157,43 +157,59 @@ def _rotation_sources(h: int, w: int, deg: float, ys: np.ndarray, xs: np.ndarray
     return sx, sy
 
 
-def _warp_window(channels: np.ndarray, rec: AugmentationRecord, window: tuple,
-                 bilinear: bool, fill: float, pointwise=None) -> np.ndarray:
-    """Flip, rotate and crop a (C, H, W) stack, computing only ``window``
-    (row, col, height, width) of the crop. Pixels rotated in from outside
-    the image take ``fill``. ``pointwise`` maps source pixels before they
-    are sampled; it runs only on the part of the image the window reads."""
-    if rec.flip:
-        channels = channels[:, :, ::-1]
-    h, w = rec.image_h, rec.image_w
-    r0, c0, _, _ = rec.crop
-    wr, wc, wh, ww = window
-    top, left = r0 + wr, c0 + wc
-    if rec.rotation_deg == 0.0:
-        src = channels[:, top:top + wh, left:left + ww]
-        return pointwise(src) if pointwise is not None else src.copy()
-    ys, xs = np.mgrid[top:top + wh, left:left + ww]
-    sx, sy = _rotation_sources(h, w, rec.rotation_deg, ys, xs)
-    if bilinear:
-        inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-        x0 = np.clip(np.floor(sx), 0, w - 2).astype(np.intp)
-        y0 = np.clip(np.floor(sy), 0, h - 2).astype(np.intp)
-        fx, fy = sx - x0, sy - y0
-        if pointwise is not None:
-            y_lo, x_lo = y0.min(), x0.min()
-            channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
-            y0, x0 = y0 - y_lo, x0 - x_lo
-        v = (channels[:, y0, x0] * ((1 - fx) * (1 - fy))
-             + channels[:, y0, x0 + 1] * (fx * (1 - fy))
-             + channels[:, y0 + 1, x0] * ((1 - fx) * fy)
-             + channels[:, y0 + 1, x0 + 1] * (fx * fy))
-    else:
-        xn = np.rint(sx).astype(np.intp)
-        yn = np.rint(sy).astype(np.intp)
-        inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
-        src = channels[:, np.clip(yn, 0, h - 1), np.clip(xn, 0, w - 1)]
-        v = pointwise(src) if pointwise is not None else src
-    return np.where(inside, v, fill)
+class _WindowWarp:
+    """Flip, rotation and crop of an (H, W) image, computing only
+    ``window`` (row, col, height, width) of the crop. The window's pixel
+    grid and rotation sources are built once, for every stack sampled."""
+
+    def __init__(self, rec: AugmentationRecord, window: tuple):
+        self.rec = rec
+        r0, c0, _, _ = rec.crop
+        wr, wc, self.wh, self.ww = window
+        self.top, self.left = r0 + wr, c0 + wc
+        if rec.rotation_deg != 0.0:
+            ys, xs = np.mgrid[self.top:self.top + self.wh, self.left:self.left + self.ww]
+            self.sx, self.sy = _rotation_sources(rec.image_h, rec.image_w,
+                                                 rec.rotation_deg, ys, xs)
+
+    def sample(self, channels: np.ndarray, bilinear: bool, fill: float,
+               pointwise=None) -> np.ndarray:
+        """Warp a (C, H, W) stack. Pixels rotated in from outside the image
+        take ``fill``. ``pointwise`` maps source pixels before they are
+        sampled; it runs only on the part of the image the window reads."""
+        rec = self.rec
+        if rec.flip:
+            channels = channels[:, :, ::-1]
+        h, w = rec.image_h, rec.image_w
+        if rec.rotation_deg == 0.0:
+            src = channels[:, self.top:self.top + self.wh, self.left:self.left + self.ww]
+            return pointwise(src) if pointwise is not None else src.copy()
+        sx, sy = self.sx, self.sy
+        if bilinear:
+            inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
+            x0 = np.clip(np.floor(sx), 0, w - 2).astype(np.intp)
+            y0 = np.clip(np.floor(sy), 0, h - 2).astype(np.intp)
+            fx, fy = sx - x0, sy - y0
+            if pointwise is not None:
+                y_lo, x_lo = y0.min(), x0.min()
+                channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
+                y0, x0 = y0 - y_lo, x0 - x_lo
+            # gather by flat index: faster than one index array per axis
+            row = channels.shape[2]
+            flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
+            i = y0 * row + x0
+            v = (np.take(flat, i, axis=1) * ((1 - fx) * (1 - fy))
+                 + np.take(flat, i + 1, axis=1) * (fx * (1 - fy))
+                 + np.take(flat, i + row, axis=1) * ((1 - fx) * fy)
+                 + np.take(flat, i + (row + 1), axis=1) * (fx * fy))
+        else:
+            xn = np.rint(sx).astype(np.intp)
+            yn = np.rint(sy).astype(np.intp)
+            inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
+            flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
+            src = np.take(flat, np.clip(yn, 0, h - 1) * w + np.clip(xn, 0, w - 1), axis=1)
+            v = pointwise(src) if pointwise is not None else src
+        return np.where(inside, v, fill)
 
 
 def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
@@ -203,8 +219,8 @@ def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
         raise AugmentError(f"raster shape {raster.shape} does not match record "
                            f"{(rec.image_h, rec.image_w)}")
     _, _, ch, cw = rec.crop
-    return _warp_window(np.asarray(raster, dtype=np.float64)[None], rec, (0, 0, ch, cw),
-                        bilinear, fill)[0]
+    return _WindowWarp(rec, (0, 0, ch, cw)).sample(
+        np.asarray(raster, dtype=np.float64)[None], bilinear, fill)[0]
 
 
 def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
@@ -230,10 +246,10 @@ def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
     colour = inp.channels[:3]
     brightness, contrast, _ = rec.jitter
     mean = _grey(colour * brightness).mean() if contrast != 1.0 else None
+    warp = _WindowWarp(rec, window)
     out = np.concatenate([
-        _warp_window(colour, rec, window, True, 0.0,
-                     lambda c: _apply_jitter(c, rec.jitter, mean)),
-        _warp_window(inp.channels[3:], rec, window, False, 0.0),
+        warp.sample(colour, True, 0.0, lambda c: _apply_jitter(c, rec.jitter, mean)),
+        warp.sample(inp.channels[3:], False, 0.0),
     ])
     return InputTensor(out)
 
@@ -279,17 +295,16 @@ class InverseWarp:
 
 
 def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
-                 halo: int | None = None) -> InverseWarp:
+                 footprint: bool = False) -> InverseWarp:
     """Build the map taking an augmented-crop heatmap back to the original
     frame: original pixel q samples the augmented raster at
     crop(rotate(flip(q))).
 
     The map produces the pixels of ``keep`` (an (H, W) bool mask; default
-    all) that have a pre-image in the crop. Its window is the whole crop
-    when ``halo`` is None. Otherwise it is the footprint (the bounding
-    rectangle of the crop pixels the produced pixels read) grown by
-    ``halo`` and clipped to the crop, and it is empty when no pixel is
-    produced. Without rotation every produced pixel reads one crop pixel."""
+    all) that have a pre-image in the crop. Its window is the whole crop,
+    or with ``footprint`` the bounding rectangle of the crop pixels the
+    produced pixels read, which is empty when no pixel is produced.
+    Without rotation every produced pixel reads one crop pixel."""
     h, w = rec.image_h, rec.image_w
     r0, c0, ch, cw = rec.crop
     q = np.arange(h * w) if keep is None else np.flatnonzero(keep)
@@ -322,15 +337,13 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
         tap_y = np.stack([y0, y0, y1, y1], axis=1)
         tap_x = np.stack([x0, x1, x0, x1], axis=1)
         wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
-    if halo is None:
+    if not footprint:
         window = (0, 0, ch, cw)
     elif not rows.size:
         window = (0, 0, 0, 0)
     else:
-        top, left = max(int(tap_y.min()) - halo, 0), max(int(tap_x.min()) - halo, 0)
-        bottom = min(int(tap_y.max()) + 1 + halo, ch)
-        right = min(int(tap_x.max()) + 1 + halo, cw)
-        window = (top, left, bottom - top, right - left)
+        top, left = int(tap_y.min()), int(tap_x.min())
+        window = (top, left, int(tap_y.max()) + 1 - top, int(tap_x.max()) + 1 - left)
     idx = (tap_y - window[0]) * window[3] + (tap_x - window[1])
     return InverseWarp(rows=rows, idx=idx, wts=wts, window=window, out_shape=(h, w))
 

@@ -369,11 +369,18 @@ def write_split(path, folds: dict) -> None:
 
 
 def load_split(path) -> dict:
-    with open(path, "r", encoding="ascii") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            doc = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SceneFormatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SceneFormatError(f"{path}: split file must map fold names to scene-id lists")
-    return {str(k): [str(s) for s in v] for k, v in doc.items()}
+    for fold, ids in doc.items():
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise SceneFormatError(f"{path}: fold '{fold}' must be a list of scene-id "
+                                   f"strings, got {ids!r}")
+    return doc
 
 
 def load_dataset(root, fold: str | None = None) -> list:

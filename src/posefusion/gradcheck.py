@@ -81,6 +81,14 @@ def op_gradient_errors(seed: int = 0) -> dict:
     fd("conv2d_x", lambda tp, v: conv_loss(tp, tg.conv2d(tp, v, w_conv, b_conv)), x_img)
     fd("conv2d_w", lambda tp, v: conv_loss(tp, tg.conv2d(tp, x_img, v, b_conv)), w_conv)
     fd("conv2d_b", lambda tp, v: conv_loss(tp, tg.conv2d(tp, x_img, w_conv, v)), b_conv)
+    # "valid" on the top and right, zero-padded on the bottom and left
+    mixed, r_mixed = (0, 1, 1, 0), Tensor(r_img.values[:, :5, :6])
+
+    def mixed_loss(tp, x, w):
+        return tg.mean(tp, tg.multiply(tp, tg.conv2d(tp, x, w, b_conv, mixed), r_mixed))
+
+    fd("conv2d_x_pad_0110", lambda tp, v: mixed_loss(tp, v, w_conv), x_img)
+    fd("conv2d_w_pad_0110", lambda tp, v: mixed_loss(tp, x_img, v), w_conv)
 
     x_vec = Tensor(rng.uniform(-3, 3, size=(6,)))
     w_lin = Tensor(rng.uniform(-3, 3, size=(4, 6)))

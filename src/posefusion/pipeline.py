@@ -103,12 +103,28 @@ class ToyPredictor:
                                       requires_grad=True)
         return cls(params)
 
-    def forward(self, tape: Tape | None, channels: np.ndarray) -> Tensor:
-        x = Tensor(channels)
+    def forward(self, tape: Tape | None, channels: np.ndarray,
+                margins: tuple = (0, 0, 0, 0)) -> Tensor:
+        """Heatmaps of the (5, H, W) input ``channels``, less ``margins``
+        = (top, bottom, left, right): the context pixels the input holds
+        beyond the output on each side, at most HALO. A margin below HALO
+        means the input ends there at the image border. Each conv then
+        computes only what the next one reads: conv l zero-pads a side,
+        as a whole-image run does, iff its output reaches that border
+        (margin + reach of convs 1..l <= HALO), and runs "valid" there
+        otherwise. With every margin 0 this is the whole-image run."""
+        if len(margins) != 4 or not all(0 <= m <= HALO for m in margins):
+            raise PipelineError(f"margins must be four sides in 0..{HALO}, got {margins}")
+        h = Tensor(channels)
         p = self.params
-        h = tg.relu(tape, tg.conv2d(tape, x, p["conv1_w"], p["conv1_b"]))
-        h = tg.relu(tape, tg.conv2d(tape, h, p["conv2_w"], p["conv2_b"]))
-        return tg.conv2d(tape, h, p["conv3_w"], p["conv3_b"])
+        reach = 0
+        for layer, radius in enumerate(_RADII, 1):
+            reach += radius
+            pad = tuple(radius if m + reach <= HALO else 0 for m in margins)
+            h = tg.conv2d(tape, h, p[f"conv{layer}_w"], p[f"conv{layer}_b"], pad)
+            if layer < len(_RADII):
+                h = tg.relu(tape, h)
+        return h
 
     def save(self, path, extra: dict | None = None) -> None:
         tg.save_checkpoint(path, self.params, extra)
@@ -116,13 +132,18 @@ class ToyPredictor:
     @classmethod
     def load(cls, path) -> tuple["ToyPredictor", dict]:
         params, extra = tg.load_checkpoint(path)
-        return cls(params), extra
+        try:
+            return cls(params), extra
+        except PipelineError as e:
+            raise PipelineError(f"checkpoint {path}: {e}") from None
 
 
-# Pixels of context each output pixel of the predictor reads on every
-# side: outputs on a window shrunk by HALO equal those of a whole-image run.
-HALO = sum((shape[-1] - 1) // 2 for name, shape in ToyPredictor.PARAM_SHAPES.items()
-           if name.endswith("_w"))
+# Pixels of context each conv adds to what an output pixel reads, in layer
+# order, and in all (HALO): outputs on a window shrunk by HALO equal those
+# of a whole-image run.
+_RADII = tuple((shape[-1] - 1) // 2 for name, shape in ToyPredictor.PARAM_SHAPES.items()
+               if name.endswith("_w"))
+HALO = sum(_RADII)
 
 
 def _select_row(tape: Tape | None, t: Tensor, row: int) -> Tensor:
@@ -152,6 +173,20 @@ class ViewForward:
     coords: np.ndarray        # (H*W, 3) shared-frame pixel positions
 
 
+def _predictor_input(inp, rec, footprint: tuple) -> tuple:
+    """The augmented input the predictor needs for ``footprint`` (row,
+    col, height, width within the crop): the footprint grown by HALO and
+    clipped to the crop, and the margins (top, bottom, left, right) it
+    holds beyond the footprint."""
+    top, left, h, w = footprint
+    _, _, ch, cw = rec.crop
+    margins = (min(top, HALO), min(ch - top - h, HALO),
+               min(left, HALO), min(cw - left - w, HALO))
+    window = (top - margins[0], left - margins[2],
+              h + margins[0] + margins[1], w + margins[2] + margins[3])
+    return apply_to_input(inp, rec, window).channels, margins
+
+
 def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                   records: dict | None, tape: Tape | None,
                   mask_cfg: MaskConfig = MaskConfig(),
@@ -163,11 +198,13 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
 
     Masking keeps only the valid pixels (inside the person's box, with
     known depth), so each view computes only what they read. The inverse
-    warp is built for the valid pixels; augmentation and predictor run on
-    its window, the crop pixels those read grown by HALO, where the
-    predictor's outputs at the pixels read equal those of a whole-crop
-    run. The warp writes the masked raster directly. A view whose valid
-    pixels all lie outside the crop runs no predictor.
+    warp is built for the valid pixels and reads the footprint, the
+    bounding rectangle of the crop pixels those read. Augmentation runs
+    on the footprint grown by HALO and clipped to the crop, and the
+    predictor computes the footprint from it; there its outputs equal
+    those of a whole-crop run. The warp writes the masked raster
+    directly. A view whose valid pixels all lie outside the crop runs no
+    predictor.
 
     With ``oracle_heatmaps`` (view -> (J,H,W) array), the predictor and
     augmentation are bypassed and the provided heatmaps are masked
@@ -192,10 +229,10 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
             rec = records.get(sv.view) if records else None
             if rec is None:
                 rec = identity_record(sv.height, sv.width)
-            warp = inverse_warp(rec, valid, HALO)
+            warp = inverse_warp(rec, valid, footprint=True)
             if warp.rows.size:
                 inp = build_input_tensor(sv.colour, sv.depth, box)
-                heat = predictor.forward(tape, apply_to_input(inp, rec, warp.window).channels)
+                heat = predictor.forward(tape, *_predictor_input(inp, rec, warp.window))
             else:
                 heat = Tensor(np.zeros((J, 0, 0)))
             masked = invert_on_heatmap_tensor(tape, heat, rec, mask_cfg.epsilon, warp)

@@ -161,64 +161,62 @@ def relu(tape: Tape | None, a: Tensor) -> Tensor:
     return _result(tape, (a,), np.where(gate, a.values, 0.0), lambda g: (g * gate,), "relu")
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W), zero-padded by 1 -> (C*9, N*H*W) patch matrix."""
-    n, c, h, w = x.shape
-    hw = h * w
-    padded = np.zeros((n, c, h + 2, w + 2))
-    padded[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((c * 9, n * hw))
-    for i in range(n):
-        dst = cols[:, i * hw:(i + 1) * hw].reshape(c, 9, h, w)
-        k = 0
-        for ki in range(3):
-            for kj in range(3):
-                dst[:, k] = padded[i, :, ki:ki + h, kj:kj + w]
-                k += 1
-    return cols
+def _im2col(x: np.ndarray, pad: tuple) -> np.ndarray:
+    """(C, H, W), zero-padded by pad = (top, bottom, left, right) -> the
+    (C*9, H'*W') patch matrix of the 3x3 windows of the padded image,
+    H' = H + top + bottom - 2 and W' = W + left + right - 2."""
+    c, h, w = x.shape
+    top, bottom, left, right = pad
+    if any(pad):
+        padded = np.zeros((c, h + top + bottom, w + left + right))
+        padded[:, top:top + h, left:left + w] = x
+    else:
+        padded = x
+    ho, wo = padded.shape[1] - 2, padded.shape[2] - 2
+    cols = np.empty((c, 9, ho, wo))
+    for ki in range(3):
+        for kj in range(3):
+            cols[:, ki * 3 + kj] = padded[:, ki:ki + ho, kj:kj + wo]
+    return cols.reshape(c * 9, ho * wo)
 
 
-def _col2im(cols: np.ndarray, n: int, c: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter (C*9, N*H*W) back into (N, C, H, W)."""
-    hw = h * w
-    padded = np.zeros((n, c, h + 2, w + 2))
-    for i in range(n):
-        src = cols[:, i * hw:(i + 1) * hw].reshape(c, 9, h, w)
-        k = 0
-        for ki in range(3):
-            for kj in range(3):
-                padded[i, :, ki:ki + h, kj:kj + w] += src[:, k]
-                k += 1
-    return padded[:, :, 1:-1, 1:-1]
+def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor,
+           pad: tuple = (1, 1, 1, 1)) -> Tensor:
+    """3x3 convolution, stride 1, zero padding ``pad`` = (top, bottom,
+    left, right), each 0 or 1: (1, 1, 1, 1) keeps the size, 0 on a side
+    runs "valid" there.
 
+    x: (C_in, H, W), weight: (C_out, C_in, 3, 3), bias: (C_out,); the
+    output is (C_out, H + top + bottom - 2, W + left + right - 2).
 
-def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1.
-
-    x: (C_in, H, W), weight: (C_out, C_in, 3, 3), bias: (C_out,).
-    An (N, C_in, H, W) input is treated as a stack of independent images
-    (shared-weight application across views in one call).
+    The image gradient is itself a stride-1 convolution: that of the
+    upstream gradient, zero-padded by 2 - pad on each side, with the
+    flipped kernel, its in and out channels swapped.
     """
-    if x.values.ndim not in (3, 4) or weight.values.ndim != 4 or weight.shape[2:] != (3, 3):
+    if x.values.ndim != 3 or weight.values.ndim != 4 or weight.shape[2:] != (3, 3):
         raise ShapeError(f"conv2d: bad operand shapes {x.shape}, {weight.shape}")
-    batched = x.values.ndim == 4
-    xv = x.values if batched else x.values[None]
-    n, c_in, h, w = xv.shape
+    c_in, h, w = x.shape
     c_out = weight.shape[0]
     if weight.shape[1] != c_in or bias.shape != (c_out,):
         raise ShapeError(f"conv2d: incompatible shapes {x.shape}, {weight.shape}, {bias.shape}")
-    cols = _im2col(xv)
+    pad = tuple(pad)
+    if len(pad) != 4 or any(p not in (0, 1) for p in pad):
+        raise ShapeError(f"conv2d: pad must be four sides of 0 or 1, got {pad}")
+    top, bottom, left, right = pad
+    ho, wo = h + top + bottom - 2, w + left + right - 2
+    if ho <= 0 or wo <= 0:
+        raise ShapeError(f"conv2d: input {x.shape} with pad {pad} leaves no output")
+    cols = _im2col(x.values, pad)
     wmat = weight.values.reshape(c_out, c_in * 9)
-    y = (wmat @ cols + bias.values[:, None]).reshape(c_out, n, h, w).swapaxes(0, 1)
-    y = y if batched else y[0]
+    y = (wmat @ cols + bias.values[:, None]).reshape(c_out, ho, wo)
 
     def vjp(g):
-        gv = g if batched else g[None]
-        gmat = np.ascontiguousarray(gv.swapaxes(0, 1)).reshape(c_out, n * h * w)
+        gmat = g.reshape(c_out, ho * wo)
         gx = None
         if x.requires_grad:  # the predictor's input image needs none
-            gx = _col2im(wmat.T @ gmat, n, c_in, h, w)
-            gx = gx if batched else gx[0]
+            flipped = weight.values[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(c_in, c_out * 9)
+            gx = (flipped @ _im2col(g, (2 - top, 2 - bottom, 2 - left, 2 - right))
+                  ).reshape(c_in, h, w)
         gw = (gmat @ cols.T).reshape(c_out, c_in, 3, 3)
         gb = gmat.sum(axis=1)
         return gx, gw, gb

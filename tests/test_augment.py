@@ -4,6 +4,7 @@ linear inverse applied to heatmaps."""
 import numpy as np
 import pytest
 
+from posefusion import augment
 from posefusion import tensorgrad as tg
 from posefusion.augment import (
     AugmentError,
@@ -149,6 +150,31 @@ class TestApplyToInput:
                 np.testing.assert_array_equal(part, whole[:, wr:wr + wh, wc:wc + ww])
         with pytest.raises(AugmentError, match="window"):
             apply_to_input(inp, identity_record(H, W), (0, 0, H + 1, W))
+
+    def test_channels_equal_per_raster_warps(self):
+        # one warp pass for all five channels: colour equals the bilinear
+        # warp of the jittered colour, depth and mask the nearest-neighbour
+        # warp, bit for bit, on whole crops and on windows of them
+        g = np.random.default_rng(5)
+        inp = _input(g)
+        colour = inp.channels[:3]
+        records = [sample_augmentation(_config(jitter_low=0.5, jitter_high=1.5), g)
+                   for _ in range(20)]
+        assert any(r.flip for r in records) and all(r.rotation_deg != 0.0 for r in records)
+        for rec in records:
+            mean = augment._grey(colour * rec.jitter[0]).mean()
+            jittered = augment._apply_jitter(colour, rec.jitter, mean)
+            want = np.stack([apply_geometric(c, rec, bilinear=True) for c in jittered]
+                            + [apply_geometric(c, rec, bilinear=False) for c in inp.channels[3:]])
+            _, _, ch, cw = rec.crop
+            windows = [(0, 0, ch, cw)]
+            for _ in range(3):
+                wr, wc = int(g.integers(0, ch)), int(g.integers(0, cw))
+                windows.append((wr, wc, int(g.integers(1, ch - wr + 1)),
+                                int(g.integers(1, cw - wc + 1))))
+            for wr, wc, wh, ww in windows:
+                got = apply_to_input(inp, rec, (wr, wc, wh, ww)).channels
+                assert np.array_equal(got, want[:, wr:wr + wh, wc:wc + ww]), (rec, wr, wc)
 
 
 class TestInvertOnHeatmap:

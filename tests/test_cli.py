@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -237,6 +238,27 @@ class TestMalformedInputs:
         assert rc == 1
         err = self._error_line(capsys)
         assert str(det) in err and "JSON" in err
+
+    def test_split_fold_not_a_list(self, dataset, tmp_path, capsys):
+        root = tmp_path / "ds"
+        shutil.copytree(dataset / "scenes", root / "scenes")
+        (root / "split.json").write_text(json.dumps({"train": 5}))
+        rc = main(["train", "--data", str(root), "--epochs", "1",
+                   "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(root / "split.json") in err and "'train'" in err
+
+    def test_checkpoint_with_misshaped_parameter(self, dataset, tmp_path, capsys):
+        from posefusion.tensorgrad import Tensor, save_checkpoint
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, {"conv1_w": Tensor(np.zeros((2, 5, 3, 3)))},
+                        extra={"mode": "proposed-3d"})
+        rc = main(["eval", "--data", str(dataset), "--checkpoint", str(ckpt),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(ckpt) in err and "'conv1_w'" in err
 
     def test_train_config_field_of_wrong_type(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

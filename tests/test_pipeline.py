@@ -62,13 +62,10 @@ class TestToyPredictor:
         for k in p.params:
             np.testing.assert_array_equal(p.params[k].values, q.params[k].values)
 
-    def test_batched_forward_equals_per_view(self, rng):
-        p = ToyPredictor.initialise(1)
-        stack = rng.random((3, 5, 10, 12))
-        batched = p.forward(None, stack).values
-        for v in range(3):
-            single = p.forward(None, stack[v]).values
-            np.testing.assert_allclose(batched[v], single, atol=1e-12)
+    def test_margins_validated(self, rng):
+        p = ToyPredictor.initialise(0)
+        with pytest.raises(PipelineError, match="margins"):
+            p.forward(None, rng.random((5, 12, 14)), (0, 0, P.HALO + 1, 0))
 
 
 class TestForwardScene:
@@ -179,9 +176,12 @@ def _box_free_crop(sv, person, size=12):
 
 
 class TestWindowedForward:
-    """forward_scene runs augmentation and predictor on the inverse warp's
-    window only; its masked rasters, losses and gradients must equal those
-    of the whole-crop path."""
+    """forward_scene runs augmentation on the inverse warp's footprint
+    grown by HALO, and each predictor layer only on what the next one
+    reads; its masked rasters, losses and gradients must equal those of
+    the whole-crop path. The ε pixels match exactly. The activations at
+    valid pixels agree within 1e-13 of the largest of them: a gemm over
+    fewer columns may round its last bits differently."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -226,10 +226,16 @@ class TestWindowedForward:
             (got, loss, grads), (want, ref_loss, ref_grads) = results
             where = f"{kind}, {scene.id} person {person}"
             assert [f.view for f in got] == [f.view for f in want], where
+            eps = MaskConfig().epsilon
             for f, r in zip(got, want):
-                assert np.array_equal(f.masked.values, r.masked.values), where
+                live = r.masked.values != eps
+                assert np.array_equal(f.masked.values != eps, live), where
+                if live.any():
+                    scale = np.abs(r.masked.values[live]).max()
+                    diff = np.abs(f.masked.values[live] - r.masked.values[live]).max()
+                    assert diff <= 1e-13 * scale, (where, diff / scale)
             if kind == "box cropped away":
-                assert all(np.all(f.masked.values == MaskConfig().epsilon) for f in got), where
+                assert all(np.all(f.masked.values == eps) for f in got), where
             if ref_loss is None:
                 assert loss is None, where
                 continue
