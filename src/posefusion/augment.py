@@ -8,10 +8,12 @@ registers its transpose as the tape adjoint, keeping the chain
 differentiable. Colour jitter touches the input only and needs no
 inverse.
 
-Pixels of the inverted heatmap with no pre-image (cropped away, or
-rotated out of frame) receive the exclusion value, not zero: a zero is a
-live softmax logit inside a person's box and would silently attract the
-fused prediction.
+The tape-recorded inverse gives values only at the pixels it is asked
+for that have a pre-image; pixels cropped away or rotated out of frame
+carry no activation and are not fused. The raster form
+``invert_on_heatmap`` gives them the exclusion value, not zero: a zero
+is a live softmax logit inside a person's box and would silently attract
+the fused prediction.
 """
 
 from __future__ import annotations
@@ -261,30 +263,26 @@ def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
 @dataclass(frozen=True)
 class InverseWarp:
     """The inverse augmentation as a sparse bilinear gather from a window
-    of the augmented crop: out[:, rows] = sum_k wts[:, k] * src[:, idx[:, k]]
-    with src the window, flattened; every other pixel of the original
-    frame takes a constant fill value."""
+    of the augmented crop: out[:, i] = sum_k wts[i, k] * src[:, idx[i, k]]
+    gives the value of original-frame pixel rows[i], with src the window,
+    flattened."""
 
     rows: np.ndarray     # (n,) flat original-frame pixels the map produces
     idx: np.ndarray      # (n, taps) flat indices into the window
     wts: np.ndarray      # (n, taps)
     window: tuple        # (row, col, height, width) within the crop
-    out_shape: tuple     # original (H, W)
 
-    def forward(self, src_flat: np.ndarray, fill: float) -> np.ndarray:
-        """src_flat: (C, window size) -> (C, H*W)."""
-        out = np.full((src_flat.shape[0], self.out_shape[0] * self.out_shape[1]), fill)
+    def gather(self, src_flat: np.ndarray) -> np.ndarray:
+        """src_flat: (C, window size) -> (C, n), the values at ``rows``."""
         v = src_flat[:, self.idx[:, 0]] * self.wts[:, 0]
         for k in range(1, self.idx.shape[1]):
             v += src_flat[:, self.idx[:, k]] * self.wts[:, k]
-        out[:, self.rows] = v
-        return out
+        return v
 
-    def adjoint(self, grad_out_flat: np.ndarray) -> np.ndarray:
-        """Transpose map: (C, H*W) -> (C, window size)."""
-        c = grad_out_flat.shape[0]
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """Transpose of ``gather``: (C, n) -> (C, window size)."""
+        c = g.shape[0]
         size = self.window[2] * self.window[3]
-        g = grad_out_flat[:, self.rows]
         chan_base = (np.arange(c, dtype=np.intp) * size)[:, None]
         acc = np.zeros(c * size)
         for k in range(self.idx.shape[1]):
@@ -345,7 +343,7 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
         top, left = int(tap_y.min()), int(tap_x.min())
         window = (top, left, int(tap_y.max()) + 1 - top, int(tap_x.max()) + 1 - left)
     idx = (tap_y - window[0]) * window[3] + (tap_x - window[1])
-    return InverseWarp(rows=rows, idx=idx, wts=wts, window=window, out_shape=(h, w))
+    return InverseWarp(rows=rows, idx=idx, wts=wts, window=window)
 
 
 def invert_on_heatmap(h: Heatmap, rec: AugmentationRecord,
@@ -355,33 +353,32 @@ def invert_on_heatmap(h: Heatmap, rec: AugmentationRecord,
     r0, c0, ch, cw = rec.crop
     if h.raster.shape != (ch, cw):
         raise AugmentError(f"heatmap shape {h.raster.shape} does not match crop {(ch, cw)}")
-    out = inverse_warp(rec).forward(h.raster.reshape(1, -1), epsilon)
+    warp = inverse_warp(rec)
+    out = np.full(rec.image_h * rec.image_w, epsilon)
+    out[warp.rows] = warp.gather(h.raster.reshape(1, -1))[0]
     return Heatmap(view=h.view, joint=h.joint,
                    raster=out.reshape(rec.image_h, rec.image_w))
 
 
 def invert_on_heatmap_tensor(tape: Tape | None, t: Tensor, rec: AugmentationRecord,
-                             epsilon: float = DEFAULT_EPSILON,
                              warp: InverseWarp | None = None) -> Tensor:
     """Tape-recorded inverse augmentation of a (J, h, w) tensor that holds
     ``warp``'s window of the augmented crop; the default warp produces
-    every pixel and reads the whole crop. Returns the (J, H, W) raster of
-    the original frame: the warp's pixels carry their gathered values,
-    every other pixel takes epsilon.
+    every pixel with a pre-image and reads the whole crop. Returns the
+    (J, n) values of the original-frame pixels ``warp.rows``.
 
     The map is linear in the heatmap values, so its registered adjoint is
-    the exact transpose; epsilon-filled pixels receive no gradient."""
+    the exact transpose."""
     if warp is None:
         warp = inverse_warp(rec)
     _, _, wh, ww = warp.window
     if t.values.ndim != 3 or t.values.shape[1:] != (wh, ww):
         raise AugmentError(f"tensor shape {t.shape} does not match window {(wh, ww)}")
     j = t.shape[0]
-    out_vals = warp.forward(t.values.reshape(j, wh * ww), epsilon).reshape(
-        (j,) + warp.out_shape)
+    out_vals = warp.gather(t.values.reshape(j, wh * ww))
 
     def vjp(g):
-        return (warp.adjoint(g.reshape(j, -1)).reshape(t.shape),)
+        return (warp.adjoint(g).reshape(t.shape),)
 
     if not np.all(np.isfinite(out_vals)):
         raise NonFiniteError("op 'invert_augmentation' produced non-finite values")

@@ -14,23 +14,18 @@ import os
 import struct
 import sys
 
-_USER_ERRORS: tuple = ()
+import numpy as np
 
+from . import data as D, fusion as F, heatmap as hm, matching as M, pipeline as P
+from . import tensorgrad as tg
+from .augment import AugmentError
+from .geometry import GeometryError
 
-def _lazy_imports():
-    """Import the numeric stack after thread-count env handling."""
-    global np, D, P, M, F, tg, hm, _USER_ERRORS
-    import numpy as np  # noqa: F811
-    from . import data as D, pipeline as P, matching as M, fusion as F
-    from . import tensorgrad as tg, heatmap as hm
-    from .augment import AugmentError
-    from .geometry import GeometryError
-    _USER_ERRORS = (
-        D.SceneFormatError, D.GenerationError, P.PipelineError, M.MatchingError,
-        F.FusionError, hm.HeatmapError, GeometryError, AugmentError,
-        tg.TensorGradError, FileNotFoundError, NotADirectoryError,
-    )
-    globals().update(np=np, D=D, P=P, M=M, F=F, tg=tg, hm=hm)
+_USER_ERRORS = (
+    D.SceneFormatError, D.GenerationError, P.PipelineError, M.MatchingError,
+    F.FusionError, hm.HeatmapError, GeometryError, AugmentError,
+    tg.TensorGradError, FileNotFoundError, NotADirectoryError,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,6 +213,8 @@ def _cmd_match(args) -> int:
 
 
 def _read_heatmap_file(path):
+    if os.path.isdir(path):
+        raise D.SceneFormatError(f"{path}: is a directory, not a heatmap file")
     with open(path, "rb") as f:
         header = f.read(12)
         if len(header) != 12:
@@ -226,7 +223,10 @@ def _read_heatmap_file(path):
         raw = f.read()
     if len(raw) != j * h * w * 4:
         raise D.SceneFormatError(f"{path}: expected {j * h * w * 4} payload bytes")
-    return np.frombuffer(raw, dtype="<f4").reshape(j, h, w).astype(np.float64)
+    raster = np.frombuffer(raw, dtype="<f4").reshape(j, h, w).astype(np.float64)
+    if not np.all(np.isfinite(raster)):
+        raise D.SceneFormatError(f"{path}: heatmap holds non-finite values")
+    return raster
 
 
 def _cmd_fuse(args) -> int:
@@ -254,7 +254,7 @@ def _cmd_fuse(args) -> int:
                                oracle_heatmaps=rasters)
     if not any(f.valid.any() for f in forwards):
         raise P.PipelineError("all pixels are exclusion-masked; nothing to fuse")
-    centers = P._fused_centers(None, forwards).values
+    centers = P.fused_centers(None, forwards).values
     pose = {
         "person": args.person,
         "joints_m": {name: [float(c) for c in centers[i]]
@@ -264,8 +264,7 @@ def _cmd_fuse(args) -> int:
         json.dump(pose, f, indent=2, sort_keys=True)
         f.write("\n")
     if args.out_points:
-        acts = np.concatenate([fw.masked.values.reshape(len(F.JOINT_NAMES), -1)
-                               for fw in forwards], axis=1)
+        acts = np.concatenate([fw.acts.values for fw in forwards], axis=1)
         coords = np.concatenate([fw.coords for fw in forwards], axis=0)
         with open(args.out_points, "w", encoding="ascii") as f:
             f.write("# joint x_m y_m z_m weight\n")
@@ -290,12 +289,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("POSEFUSION_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = _build_parser().parse_args(argv)
-    _lazy_imports()
     try:
         return _COMMANDS[args.command](args)
     except _USER_ERRORS as e:

@@ -251,6 +251,17 @@ def _field(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _typed(kind, doc: dict, key: str, context: str):
+    """Field ``key`` converted by ``kind`` (int or float)."""
+    value = _field(doc, key, context)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise SceneFormatError(f"{context}: field '{key}' must be {what}, "
+                               f"got {value!r}") from None
+
+
 def load_scene(directory) -> Scene:
     """Read and validate a scene directory; units normalize to meters."""
     path = os.path.join(directory, "scene.json")
@@ -270,9 +281,14 @@ def load_scene(directory) -> Scene:
     views = []
     for vdoc in _field(doc, "views", path):
         ctx = f"{path}: views[{vdoc.get('view', '?')}]"
-        v = int(_field(vdoc, "view", ctx))
+        v = _typed(int, vdoc, "view", ctx)
         cam_doc = _field(vdoc, "camera", ctx)
-        t_raw = np.asarray(_field(cam_doc, "to_reference", f"{ctx}.camera"), dtype=np.float64)
+        try:
+            t_raw = np.asarray(_field(cam_doc, "to_reference", f"{ctx}.camera"),
+                               dtype=np.float64)
+        except (TypeError, ValueError):
+            raise SceneFormatError(f"{ctx}.camera: field 'to_reference' must be "
+                                   f"16 numbers") from None
         if t_raw.size != 16:
             raise SceneFormatError(f"{ctx}.camera.to_reference: expected 16 numbers, got {t_raw.size}")
         t_mat = t_raw.reshape(4, 4)
@@ -281,15 +297,15 @@ def load_scene(directory) -> Scene:
             transform = RigidTransform(t_mat)
             camera = Camera(
                 id=v,
-                fx=float(_field(cam_doc, "fx", f"{ctx}.camera")),
-                fy=float(_field(cam_doc, "fy", f"{ctx}.camera")),
-                cx=float(_field(cam_doc, "cx", f"{ctx}.camera")),
-                cy=float(_field(cam_doc, "cy", f"{ctx}.camera")),
+                fx=_typed(float, cam_doc, "fx", f"{ctx}.camera"),
+                fy=_typed(float, cam_doc, "fy", f"{ctx}.camera"),
+                cx=_typed(float, cam_doc, "cx", f"{ctx}.camera"),
+                cy=_typed(float, cam_doc, "cy", f"{ctx}.camera"),
                 to_reference=transform,
             )
         except GeometryError as e:
             raise SceneFormatError(f"{ctx}.camera: {e}")
-        h, w = int(_field(vdoc, "height", ctx)), int(_field(vdoc, "width", ctx))
+        h, w = _typed(int, vdoc, "height", ctx), _typed(int, vdoc, "width", ctx)
 
         colour = _read_ppm(os.path.join(directory, f"view{v}_color.ppm"))
         depth_raster = _read_depth(os.path.join(directory, f"view{v}_depth.f32")) * scale
@@ -297,16 +313,14 @@ def load_scene(directory) -> Scene:
             raise SceneFormatError(f"{ctx}: raster sizes disagree with declared {h}x{w}")
         boxes = {}
         for bdoc in vdoc.get("boxes", []):
-            p = int(_field(bdoc, "person", f"{ctx}.boxes"))
+            p = _typed(int, bdoc, "person", f"{ctx}.boxes")
+            bctx = f"{ctx}.boxes[person={p}]"
             try:
-                boxes[p] = BoundingBox(
-                    view=v, person=p,
-                    x_min=int(bdoc["x_min"]), y_min=int(bdoc["y_min"]),
-                    x_max=int(bdoc["x_max"]), y_max=int(bdoc["y_max"]),
-                )
+                boxes[p] = BoundingBox(view=v, person=p, **{
+                    k: _typed(int, bdoc, k, bctx) for k in ("x_min", "y_min", "x_max", "y_max")})
                 boxes[p].validate_within(h, w)
-            except (KeyError, HeatmapError) as e:
-                raise SceneFormatError(f"{ctx}.boxes[person={p}]: {e}")
+            except HeatmapError as e:
+                raise SceneFormatError(f"{bctx}: {e}")
         views.append(SceneView(view=v, camera=camera, colour=colour,
                                depth=DepthImage(view=v, raster=depth_raster), boxes=boxes))
 
@@ -322,22 +336,25 @@ def load_scene(directory) -> Scene:
     joints3d, joints2d, visibility = {}, {}, {}
     persons = _field(doc, "persons", path)
     for pdoc in persons:
-        p = int(_field(pdoc, "person", path))
+        p = _typed(int, pdoc, "person", path)
         ctx = f"{path}: persons[{p}]"
         j3 = {}
         for name in JOINT_NAMES:
             xyz = _field(_field(pdoc, "joints3d", ctx), name, f"{ctx}.joints3d")
             try:
                 j3[name] = Point3(*(scale * float(c) for c in xyz))
-            except (TypeError, GeometryError) as e:
-                raise SceneFormatError(f"{ctx}.joints3d.{name}: {e}")
+            except (TypeError, ValueError, GeometryError) as e:
+                raise SceneFormatError(f"{ctx}.joints3d.{name}: {e}") from None
         joints3d[p] = j3
         for vdoc in _field(pdoc, "views", ctx):
-            v = int(_field(vdoc, "view", ctx))
+            v = _typed(int, vdoc, "view", ctx)
             j2, vis = {}, {}
             for name in JOINT_NAMES:
                 raw = _field(vdoc, "joints2d", ctx).get(name)
-                j2[name] = None if raw is None else (float(raw[0]), float(raw[1]))
+                try:
+                    j2[name] = None if raw is None else (float(raw[0]), float(raw[1]))
+                except (TypeError, ValueError, IndexError) as e:
+                    raise SceneFormatError(f"{ctx}: view {v} joints2d.{name}: {e}") from None
                 vis[name] = bool(_field(vdoc, "visible", ctx).get(name, False))
                 if vis[name] and j2[name] is None:
                     raise SceneFormatError(f"{ctx}: view {v} joint '{name}' visible but missing joints2d")

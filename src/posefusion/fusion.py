@@ -1,10 +1,10 @@
 """Lift masked heatmaps into shared-frame point clouds and fuse them.
 
-Every pixel of every view becomes a 3D point (via its depth and camera)
-carrying its raw activation. Per joint, one softmax spans the combined
-multi-view cloud and the prediction is the weights' centre of mass. The
-chain stays differentiable: the aggregation registers a closed-form
-adjoint on the tape.
+Every fused pixel of every view becomes a 3D point (via its depth and
+camera) carrying its raw activation. Per joint, one softmax spans the
+combined multi-view cloud and the prediction is the weights' centre of
+mass. The chain stays differentiable: the aggregation registers a
+closed-form adjoint on the tape.
 
 Also provides the 2D-domain alternative used as a baseline: per-view 2D
 centre of mass, depth indexing at the predicted pixel, and cross-view
@@ -214,9 +214,9 @@ def aggregate_adjoint(activations: np.ndarray, coords: np.ndarray,
 def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
                              coords_list: list[np.ndarray], name: str) -> Tensor:
     """Fused tape node: per-channel softmax centre of mass over the
-    concatenation of several (J, H, W) activation tensors.
+    concatenation of several (J, n) activation tensors.
 
-    coords_list holds one (H*W, k) array per tensor. Output is (J, k).
+    coords_list holds one (n, k) array per tensor. Output is (J, k).
     The adjoint applies the aggregate_adjoint closed form per channel,
     vectorised over channels, and splits gradients back per view.
     """
@@ -252,8 +252,8 @@ def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
 
 def soft_center_stack(tape: Tape | None, tensors: list[Tensor],
                       coords_list: list[np.ndarray]) -> Tensor:
-    """Differentiable multi-view fusion of (J, H, W) activation tensors
-    into (J, 3) shared-frame predictions."""
+    """Differentiable multi-view fusion of (J, n) activation tensors,
+    each with its (n, 3) cloud, into (J, 3) shared-frame predictions."""
     return _multi_view_soft_centers(tape, tensors, coords_list, "soft_center_3d")
 
 

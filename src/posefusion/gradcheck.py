@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorgrad as tg
-from .augment import AugmentationRecord, invert_on_heatmap_tensor
+from .augment import AugmentationRecord, inverse_warp, invert_on_heatmap_tensor
 from .data import SynthConfig, generate_synthetic
 from .fusion import soft_center_stack
 from .pipeline import ToyPredictor, _person_loss_3d, _select_row, forward_scene
@@ -122,7 +122,7 @@ def aggregate_adjoint_error(seed: int = 0, points: int = 12) -> float:
     """FD error of the fused softmax-centre adjoint on a random cloud."""
     rng = np.random.default_rng(seed)
     coords = rng.uniform(-2, 2, size=(points, 3))
-    acts = Tensor(rng.uniform(-3, 3, size=(1, points, 1)))
+    acts = Tensor(rng.uniform(-3, 3, size=(1, points)))
     g = Tensor(rng.uniform(-1, 1, size=(3,)))
 
     def fn(tp, v):
@@ -140,7 +140,9 @@ def augment_adjoint_error(seed: int = 0) -> float:
                              crop=(1, 2, 10, 11), rotation_deg=9.5,
                              jitter=(1.0, 1.0, 1.0))
     x = Tensor(rng.uniform(-3, 3, size=(2, 10, 11)))
-    r = Tensor(rng.uniform(-1, 1, size=(2, 12, 14)))
+    # the cotangent of every original-frame pixel with a pre-image
+    rows = inverse_warp(rec).rows
+    r = Tensor(rng.uniform(-1, 1, size=(2, 12 * 14))[:, rows])
 
     def fn(tp, v):
         inv = invert_on_heatmap_tensor(tp, v, rec)

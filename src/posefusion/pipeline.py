@@ -33,14 +33,13 @@ from .fusion import (
     Pose2,
     Pose3,
     lift_and_fuse_2d,
-    pixel_coordinates,
     pose_distances,
     soft_center_stack,
     _multi_view_soft_centers,
     view_cloud_coords,
 )
 from .geometry import Point3
-from .heatmap import Heatmap, MaskConfig, build_input_tensor, valid_pixel_mask
+from .heatmap import DEFAULT_EPSILON, Heatmap, build_input_tensor, valid_pixel_mask
 from .tensorgrad import AdamState, Tape, Tensor, adam_step, backward
 
 __all__ = [
@@ -50,6 +49,7 @@ __all__ = [
     "TrainResult",
     "EvalReport",
     "forward_scene",
+    "fused_centers",
     "train",
     "evaluate",
     "oracle_fusion_mpjpe",
@@ -167,10 +167,27 @@ def _select_row(tape: Tape | None, t: Tensor, row: int) -> Tensor:
 
 @dataclass
 class ViewForward:
+    """One (person, view)'s activations at the pixels it fuses: the valid
+    pixels (inside the box, with known depth) that the view's inverse
+    augmentation produces."""
+
     view: int
-    masked: Tensor            # (J, H, W), exclusion-masked, original frame
+    acts: Tensor              # (J, n) activations at the fused pixels
+    rows: np.ndarray          # (n,) flat pixel indices, row-major
     valid: np.ndarray         # (H, W) bool
-    coords: np.ndarray        # (H*W, 3) shared-frame pixel positions
+    cloud: np.ndarray         # (H*W, 3) shared-frame positions of every pixel
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(n, 3) shared-frame positions of the fused pixels."""
+        return np.take(self.cloud, self.rows, axis=0)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """(n, 2) (x, y) pixel coordinates of the fused pixels."""
+        out = np.empty((self.rows.size, 2))
+        out[:, 1], out[:, 0] = np.divmod(self.rows, self.valid.shape[1])
+        return out
 
 
 def _predictor_input(inp, rec, footprint: tuple) -> tuple:
@@ -189,26 +206,25 @@ def _predictor_input(inp, rec, footprint: tuple) -> tuple:
 
 def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                   records: dict | None, tape: Tape | None,
-                  mask_cfg: MaskConfig = MaskConfig(),
                   coords_cache: dict | None = None,
                   oracle_heatmaps: dict | None = None) -> list:
     """Run the per-view chain for one person: build input, augment,
-    predict, invert the augmentation, exclusion-mask. Returns one
+    predict, invert the augmentation at the valid pixels. Returns one
     ViewForward per supporting view (empty list = no supporting views).
 
-    Masking keeps only the valid pixels (inside the person's box, with
-    known depth), so each view computes only what they read. The inverse
-    warp is built for the valid pixels and reads the footprint, the
-    bounding rectangle of the crop pixels those read. Augmentation runs
-    on the footprint grown by HALO and clipped to the crop, and the
-    predictor computes the footprint from it; there its outputs equal
-    those of a whole-crop run. The warp writes the masked raster
-    directly. A view whose valid pixels all lie outside the crop runs no
-    predictor.
+    Only the valid pixels (inside the person's box, with known depth) are
+    fused, so each view computes only what they read. The inverse warp is
+    built for the valid pixels and reads the footprint, the bounding
+    rectangle of the crop pixels those read. Augmentation runs on the
+    footprint grown by HALO and clipped to the crop, and the predictor
+    computes the footprint from it; there its outputs equal those of a
+    whole-crop run. The warp gathers the (J, n) activations of the valid
+    pixels that have a pre-image in the crop; a view with none of them
+    runs no predictor.
 
     With ``oracle_heatmaps`` (view -> (J,H,W) array), the predictor and
-    augmentation are bypassed and the provided heatmaps are masked
-    directly; this is the oracle path used by fusion verification.
+    augmentation are bypassed and the provided heatmaps are read at the
+    valid pixels; this is the oracle path used by fusion verification.
     """
     out = []
     for sv in scene.views:
@@ -220,11 +236,12 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
             key = (scene.id, sv.view)
             if key not in coords_cache:
                 coords_cache[key] = view_cloud_coords(sv.depth, sv.camera)
-            coords = coords_cache[key]
+            cloud = coords_cache[key]
         else:
-            coords = view_cloud_coords(sv.depth, sv.camera)
+            cloud = view_cloud_coords(sv.depth, sv.camera)
         if oracle_heatmaps is not None:
-            masked = Tensor(np.where(valid, oracle_heatmaps[sv.view], mask_cfg.epsilon))
+            rows = np.flatnonzero(valid)
+            acts = Tensor(oracle_heatmaps[sv.view][:, valid])
         else:
             rec = records.get(sv.view) if records else None
             if rec is None:
@@ -235,14 +252,33 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                 heat = predictor.forward(tape, *_predictor_input(inp, rec, warp.window))
             else:
                 heat = Tensor(np.zeros((J, 0, 0)))
-            masked = invert_on_heatmap_tensor(tape, heat, rec, mask_cfg.epsilon, warp)
-        out.append(ViewForward(view=sv.view, masked=masked, valid=valid, coords=coords))
+            rows = warp.rows
+            acts = invert_on_heatmap_tensor(tape, heat, rec, warp)
+        out.append(ViewForward(sv.view, acts, rows, valid, cloud))
     return out
 
 
-def _fused_centers(tape: Tape | None, forwards: list) -> Tensor:
-    return soft_center_stack(tape, [f.masked for f in forwards],
-                             [f.coords for f in forwards])
+def fused_centers(tape: Tape | None, forwards: list) -> Tensor:
+    """(J, 3) fused joint positions of one person: per joint, the softmax
+    centre of mass over every view's fused pixels, in view order.
+
+    With no fused pixel in any view (crops that remove the box), the
+    centre is the mean of the views' whole clouds: the uniform softmax
+    that fusion over every pixel gives when each entry is ε."""
+    if any(f.rows.size for f in forwards):
+        return soft_center_stack(tape, [f.acts for f in forwards],
+                                 [f.coords for f in forwards])
+    cloud = np.concatenate([f.cloud for f in forwards])
+    return Tensor(np.full((J, len(cloud)), 1.0 / len(cloud)) @ cloud)
+
+
+def _view_centers_2d(tape: Tape | None, f: ViewForward) -> Tensor:
+    """(J, 2) softmax centres of mass of one view's fused pixels; the
+    pixel-grid centre when it fuses none (a uniform softmax over ε)."""
+    if f.rows.size:
+        return _multi_view_soft_centers(tape, [f.acts], [f.pixels], "soft_center_2d")
+    h, w = f.valid.shape
+    return Tensor(np.tile([(w - 1) / 2.0, (h - 1) / 2.0], (J, 1)))
 
 
 def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | None:
@@ -280,7 +316,7 @@ def _person_loss_3d(tape: Tape, forwards: list, gt: Pose3) -> Tensor | None:
     """Mean 3D joint distance (meters) for one person, on the tape."""
     targets = {j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)
                if gt.joints[name] is not None}
-    return _mean_distance(tape, [_fused_centers(tape, forwards)], [targets])
+    return _mean_distance(tape, [fused_centers(tape, forwards)], [targets])
 
 
 def _person_loss_2d(tape: Tape, forwards: list, scene: Scene, person: int) -> Tensor | None:
@@ -289,9 +325,7 @@ def _person_loss_2d(tape: Tape, forwards: list, scene: Scene, person: int) -> Te
     for f in forwards:
         if not f.valid.any():
             continue
-        h, w = f.valid.shape
-        coms.append(_multi_view_soft_centers(tape, [f.masked], [pixel_coordinates(h, w)],
-                                             "soft_center_2d"))
+        coms.append(_view_centers_2d(tape, f))
         ref = scene.gt_pose2(person, f.view)
         targets.append({j: np.asarray(ref.joints[name]) for j, name in enumerate(JOINT_NAMES)
                         if ref.joints[name] is not None})
@@ -470,7 +504,7 @@ def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
         return None
 
     if mode == "proposed-3d":
-        centers = _fused_centers(None, forwards).values
+        centers = fused_centers(None, forwards).values
         joints = {name: Point3(*centers[j]) for j, name in enumerate(JOINT_NAMES)}
         return Pose3(person=person, joints=joints)
 
@@ -481,13 +515,16 @@ def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
         cameras[f.view] = sv.camera
         joints2d = {}
         if f.valid.any():
-            h, w = f.valid.shape
-            coms = _multi_view_soft_centers(None, [f.masked], [pixel_coordinates(h, w)],
-                                            "soft_center_2d").values
+            coms = _view_centers_2d(None, f).values
+            # the predicted pixel may be any pixel, so its value is read
+            # from the ε raster of the view
+            raster = np.full((J, f.valid.size), DEFAULT_EPSILON)
+            raster[:, f.rows] = f.acts.values
+            raster = raster.reshape((J,) + f.valid.shape)
             for j, name in enumerate(JOINT_NAMES):
                 joints2d[name] = (float(coms[j, 0]), float(coms[j, 1]))
                 heatmaps[(f.view, name)] = Heatmap(view=f.view, joint=j,
-                                                   raster=f.masked.values[j], valid=f.valid)
+                                                   raster=raster[j], valid=f.valid)
         else:
             joints2d = {name: None for name in JOINT_NAMES}
         poses2d.append(Pose2(person=person, view=f.view, joints=joints2d))
@@ -597,7 +634,7 @@ def oracle_fusion_mpjpe(scene: Scene, sigma: float = 1.0,
                                  coords_cache=coords_cache, oracle_heatmaps=oracle)
         if not any(f.valid.any() for f in forwards):
             continue
-        centers = _fused_centers(None, forwards).values
+        centers = fused_centers(None, forwards).values
         gt = scene.joints3d[person]
         for jdx, name in enumerate(JOINT_NAMES):
             if not any(scene.visibility[(person, v)][name] for v in support):

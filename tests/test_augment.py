@@ -13,6 +13,7 @@ from posefusion.augment import (
     apply_geometric,
     apply_to_input,
     identity_record,
+    inverse_warp,
     invert_on_heatmap,
     invert_on_heatmap_tensor,
     sample_augmentation,
@@ -233,14 +234,29 @@ class TestInvertOnHeatmap:
         assert augment_adjoint_error(seed=0) < 1e-6
 
     def test_identity_tensor_path_matches_pure_path(self, rng):
+        # the tape node's (J, n) values are the raster's at the warp's
+        # rows, which are every pixel the raster does not fill with ε; a
+        # warp on a mask's footprint reads a window of the crop and gives
+        # the raster's values at the mask's pixels with a pre-image
         rec = AugmentationRecord(image_h=H, image_w=W, flip=True,
                                  crop=(1, 2, 12, 16), rotation_deg=-7.0,
                                  jitter=(1.0, 1.0, 1.0))
         stack = rng.normal(size=(3, 12, 16))
+        pure = np.stack([invert_on_heatmap(Heatmap(view=0, joint=j, raster=stack[j]),
+                                           rec).raster.ravel() for j in range(3)])
+        rows = inverse_warp(rec).rows
+        np.testing.assert_array_equal(rows, np.flatnonzero(pure[0] != EPS))
         out_t = invert_on_heatmap_tensor(None, tg.Tensor(stack), rec)
-        for j in range(3):
-            pure = invert_on_heatmap(Heatmap(view=0, joint=j, raster=stack[j]), rec)
-            np.testing.assert_array_equal(out_t.values[j], pure.raster)
+        np.testing.assert_array_equal(out_t.values, pure[:, rows])
+
+        keep = np.zeros((H, W), dtype=bool)
+        keep[3:9, 2:15] = True
+        warp = inverse_warp(rec, keep, footprint=True)
+        assert np.all(keep.ravel()[warp.rows]) and 0 < warp.rows.size < keep.sum()
+        top, left, wh, ww = warp.window
+        out_w = invert_on_heatmap_tensor(
+            None, tg.Tensor(stack[:, top:top + wh, left:left + ww]), rec, warp)
+        np.testing.assert_allclose(out_w.values, pure[:, warp.rows], rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         rec = AugmentationRecord(image_h=H, image_w=W, flip=False,
@@ -274,12 +290,13 @@ class TestPipelineEquivariance:
                     oracle[v] = base
                 else:
                     rec = records[v]
-                    warped = np.stack([apply_geometric(base[j], rec)
-                                       for j in range(len(JOINT_NAMES))])
-                    inv = invert_on_heatmap_tensor(None, tg.Tensor(warped), rec)
-                    oracle[v] = inv.values
+                    oracle[v] = np.stack([
+                        invert_on_heatmap(Heatmap(view=v, joint=j,
+                                                  raster=apply_geometric(base[j], rec)),
+                                          rec).raster
+                        for j in range(len(JOINT_NAMES))])
             fw = P.forward_scene(None, scene, person, None, None, oracle_heatmaps=oracle)
-            return P._fused_centers(None, fw).values
+            return P.fused_centers(None, fw).values
 
         baseline = fused_with(None)
 

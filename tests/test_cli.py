@@ -260,6 +260,62 @@ class TestMalformedInputs:
         err = self._error_line(capsys)
         assert str(ckpt) in err and "'conv1_w'" in err
 
+    @staticmethod
+    def _mutated_scene(dataset, tmp_path, mutate):
+        scene_dir = tmp_path / "scene"
+        shutil.copytree(dataset / "scenes" / "scene_0000", scene_dir)
+        doc = json.loads((scene_dir / "scene.json").read_text())
+        mutate(doc)
+        (scene_dir / "scene.json").write_text(json.dumps(doc))
+        return scene_dir
+
+    def _fuse_error(self, scene_dir, tmp_path, capsys, *extra):
+        rc = main(["fuse", "--scene", str(scene_dir), "--out-pose", str(tmp_path / "p.json"),
+                   *extra])
+        assert rc == 1
+        return self._error_line(capsys)
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("'fx'", lambda doc: doc["views"][0]["camera"].update(fx="abc")),
+        ("'view'", lambda doc: doc["views"][0].update(view=[1])),
+        ("'x_min'", lambda doc: doc["views"][0]["boxes"][0].update(x_min="q")),
+    ], ids=["camera_fx_text", "view_index_list", "box_x_min_text"])
+    def test_scene_field_of_wrong_type(self, dataset, tmp_path, capsys, field, mutate):
+        scene_dir = self._mutated_scene(dataset, tmp_path, mutate)
+        err = self._fuse_error(scene_dir, tmp_path, capsys)
+        assert str(scene_dir / "scene.json") in err and field in err
+
+    def _heatmap_dir(self, dataset, tmp_path):
+        from posefusion.data import load_scene, make_target_heatmaps
+        scene_dir = dataset / "scenes" / "scene_0000"
+        scene = load_scene(scene_dir)
+        hm_dir = tmp_path / "hm"
+        hm_dir.mkdir()
+        for v in scene.supporting_views(0):
+            hm = make_target_heatmaps(scene, v, 0).astype("<f4")
+            with open(hm_dir / f"view{v}_heatmaps.f32", "wb") as f:
+                f.write(struct.pack("<III", *hm.shape))
+                f.write(hm.tobytes())
+        return scene_dir, hm_dir, scene.supporting_views(0)[0]
+
+    def test_heatmap_path_is_a_directory(self, dataset, tmp_path, capsys):
+        scene_dir, hm_dir, v = self._heatmap_dir(dataset, tmp_path)
+        path = hm_dir / f"view{v}_heatmaps.f32"
+        path.unlink()
+        path.mkdir()
+        err = self._fuse_error(scene_dir, tmp_path, capsys, "--heatmaps", str(hm_dir))
+        assert str(path) in err and "directory" in err
+
+    def test_heatmap_with_nan_value(self, dataset, tmp_path, capsys):
+        # the NaN sits at a corner pixel, outside the person's valid pixels
+        scene_dir, hm_dir, v = self._heatmap_dir(dataset, tmp_path)
+        path = hm_dir / f"view{v}_heatmaps.f32"
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        err = self._fuse_error(scene_dir, tmp_path, capsys, "--heatmaps", str(hm_dir))
+        assert str(path) in err and "non-finite" in err
+
     def test_train_config_field_of_wrong_type(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": "3"}))

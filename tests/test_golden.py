@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from posefusion.data import SynthConfig, generate_synthetic, make_target_heatmaps
-from posefusion.fusion import soft_center_stack
-from posefusion.pipeline import ToyPredictor, TrainConfig, evaluate, forward_scene, train
+from posefusion.pipeline import (ToyPredictor, TrainConfig, evaluate, forward_scene,
+                                 fused_centers, train)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 REL, ABS = 1e-9, 1e-12
@@ -39,8 +39,7 @@ def compute() -> dict:
             heatmaps = {v: make_target_heatmaps(scene, v, person)
                         for v in scene.supporting_views(person)}
             forwards = forward_scene(None, scene, person, None, None, oracle_heatmaps=heatmaps)
-            centers = soft_center_stack(None, [f.masked for f in forwards],
-                                        [f.coords for f in forwards])
+            centers = fused_centers(None, forwards)
             oracle[f"{scene.id}/{person}"] = centers.values.tolist()
     return {"loss_curves": curves, "eval_reports": reports, "oracle_centers": oracle}
 

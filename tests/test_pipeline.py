@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from posefusion import pipeline as P
-from posefusion import tensorgrad as tg
 from posefusion.augment import (
     AugmentationConfig,
     AugmentationRecord,
     apply_to_input,
     identity_record,
+    inverse_warp,
     invert_on_heatmap_tensor,
     sample_augmentation,
 )
 from posefusion.data import SynthConfig, generate_synthetic
-from posefusion.fusion import JOINT_NAMES, view_cloud_coords
+from posefusion.fusion import (
+    JOINT_NAMES,
+    _multi_view_soft_centers,
+    pixel_coordinates,
+    soft_center_stack,
+    view_cloud_coords,
+)
 from posefusion.gradcheck import tiny_synth_config
 from posefusion.heatmap import MaskConfig, build_input_tensor, valid_pixel_mask
 from posefusion.pipeline import (
@@ -76,8 +82,10 @@ class TestForwardScene:
         for k in p.params:
             p.params[k].values[:] = 0.0
         forwards = forward_scene(p, scene, 0, None, None)
-        centers = P._fused_centers(None, forwards).values
-        coords = np.concatenate([f.coords for f in forwards], axis=0)
+        centers = P.fused_centers(None, forwards).values
+        for f in forwards:
+            np.testing.assert_array_equal(f.rows, np.flatnonzero(f.valid))
+        coords = np.concatenate([f.cloud for f in forwards], axis=0)
         valid = np.concatenate([f.valid.ravel() for f in forwards])
         expected = coords[valid].mean(axis=0)
         for j in range(len(JOINT_NAMES)):
@@ -92,10 +100,11 @@ class TestForwardScene:
         a = forward_scene(p, scene, 0, recs, None)
         b = forward_scene(p, scene, 0, None, None)
         for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.masked.values, fb.masked.values)
+            np.testing.assert_array_equal(fa.rows, fb.rows)
+            np.testing.assert_array_equal(fa.acts.values, fb.acts.values)
 
     def test_per_view_purity_under_box_removal(self, tiny_scenes):
-        # shared weights: a view's masked prediction must not depend on
+        # shared weights: a view's activations must not depend on
         # which other views are in the person's batch
         import copy
         train_s, _ = tiny_scenes
@@ -109,7 +118,8 @@ class TestForwardScene:
                 sv.boxes.pop(0, None)
         reduced = forward_scene(p, reduced_scene, 0, None, None)
         assert [f.view for f in reduced] == [kept]
-        np.testing.assert_allclose(reduced[0].masked.values, full[0].masked.values,
+        np.testing.assert_array_equal(reduced[0].rows, full[0].rows)
+        np.testing.assert_allclose(reduced[0].acts.values, full[0].acts.values,
                                    atol=1e-12)
 
     def test_no_supporting_views_returns_empty(self, tiny_scenes):
@@ -139,11 +149,24 @@ class TestForwardScene:
         assert err < 1e-4
 
 
+def _take(tape, t, cols):
+    """Tape node selecting columns ``cols`` of a (J, m) tensor."""
+    out = Tensor(t.values[:, cols], requires_grad=t.requires_grad)
+
+    def vjp(g):
+        full = np.zeros(t.shape)
+        full[:, cols] = g
+        return (full,)
+
+    if tape is not None and out.requires_grad:
+        tape.record((t,), out, vjp, "take")
+    return out
+
+
 def _whole_crop_forward(predictor, scene, person, records, tape):
     """Reference for forward_scene: the predictor runs on the whole
-    augmented crop, the inverse warp maps every pixel, and exclusion
-    masking follows as separate multiply and add nodes."""
-    eps = MaskConfig().epsilon
+    augmented crop, the inverse warp maps every pixel with a pre-image,
+    and a separate node keeps those among the valid pixels."""
     out = []
     for sv in scene.views:
         if person not in sv.boxes:
@@ -153,12 +176,11 @@ def _whole_crop_forward(predictor, scene, person, records, tape):
         rec = records[sv.view]
         inp = build_input_tensor(sv.colour, sv.depth, box)
         inv = invert_on_heatmap_tensor(tape, predictor.forward(tape, apply_to_input(inp, rec).channels),
-                                       rec, eps)
-        mask01 = np.broadcast_to(valid, inv.shape).astype(np.float64)
-        masked = tg.add(tape, tg.multiply(tape, inv, Tensor(mask01)),
-                        Tensor((1.0 - mask01) * eps))
-        out.append(P.ViewForward(view=sv.view, masked=masked, valid=valid,
-                                 coords=view_cloud_coords(sv.depth, sv.camera)))
+                                       rec)
+        every = inverse_warp(rec).rows
+        keep = valid.ravel()[every]
+        out.append(P.ViewForward(sv.view, _take(tape, inv, np.flatnonzero(keep)),
+                                 every[keep], valid, view_cloud_coords(sv.depth, sv.camera)))
     return out
 
 
@@ -175,33 +197,41 @@ def _box_free_crop(sv, person, size=12):
     raise AssertionError("every corner crop overlaps the box")
 
 
+@pytest.fixture(scope="module")
+def cases():
+    """(kind, scene, person, records): persons seen in one, two and three
+    views (occluded views), each under identity records, sampled records
+    (flip and rotation), crops that remove the person's box, and, when
+    seen in several views, sampled records but one such crop."""
+    _, scenes = generate_synthetic(SynthConfig(seed=12, train_scenes=0, test_scenes=4,
+                                               occlusion_drop=0.35))
+    rng = np.random.default_rng(0)
+    out = []
+    for scene in scenes:
+        for person in scene.persons():
+            views = [sv for sv in scene.views if person in sv.boxes]
+            aug = AugmentationConfig(image_h=scene.views[0].height,
+                                     image_w=scene.views[0].width, crop_h=56, crop_w=72)
+            out.append(("identity", scene, person,
+                        {sv.view: identity_record(sv.height, sv.width) for sv in views}))
+            out.append(("sampled", scene, person,
+                        {sv.view: sample_augmentation(aug, rng) for sv in views}))
+            out.append(("box cropped away", scene, person,
+                        {sv.view: _box_free_crop(sv, person) for sv in views}))
+            if len(views) > 1:
+                records = {sv.view: sample_augmentation(aug, rng) for sv in views}
+                records[views[0].view] = _box_free_crop(views[0], person)
+                out.append(("box cropped away in one view", scene, person, records))
+    return out
+
+
 class TestWindowedForward:
     """forward_scene runs augmentation on the inverse warp's footprint
     grown by HALO, and each predictor layer only on what the next one
-    reads; its masked rasters, losses and gradients must equal those of
-    the whole-crop path. The ε pixels match exactly. The activations at
-    valid pixels agree within 1e-13 of the largest of them: a gemm over
+    reads; its fused pixels, activations, losses and gradients must equal
+    those of the whole-crop path. The fused pixels match exactly. The
+    activations agree within 1e-13 of the largest of them: a gemm over
     fewer columns may round its last bits differently."""
-
-    @pytest.fixture(scope="class")
-    def cases(self):
-        # occluded views give persons seen in one, two and three views
-        _, scenes = generate_synthetic(SynthConfig(seed=12, train_scenes=0, test_scenes=4,
-                                                   occlusion_drop=0.35))
-        rng = np.random.default_rng(0)
-        out = []
-        for scene in scenes:
-            for person in scene.persons():
-                views = [sv for sv in scene.views if person in sv.boxes]
-                aug = AugmentationConfig(image_h=scene.views[0].height,
-                                         image_w=scene.views[0].width, crop_h=56, crop_w=72)
-                out.append(("identity", scene, person,
-                            {sv.view: identity_record(sv.height, sv.width) for sv in views}))
-                out.append(("sampled", scene, person,
-                            {sv.view: sample_augmentation(aug, rng) for sv in views}))
-                out.append(("box cropped away", scene, person,
-                            {sv.view: _box_free_crop(sv, person) for sv in views}))
-        return out
 
     def test_cases_cover_view_counts_and_records(self, cases):
         counts = {len(records) for _kind, _scene, _person, records in cases}
@@ -226,16 +256,15 @@ class TestWindowedForward:
             (got, loss, grads), (want, ref_loss, ref_grads) = results
             where = f"{kind}, {scene.id} person {person}"
             assert [f.view for f in got] == [f.view for f in want], where
-            eps = MaskConfig().epsilon
             for f, r in zip(got, want):
-                live = r.masked.values != eps
-                assert np.array_equal(f.masked.values != eps, live), where
-                if live.any():
-                    scale = np.abs(r.masked.values[live]).max()
-                    diff = np.abs(f.masked.values[live] - r.masked.values[live]).max()
+                assert np.array_equal(f.rows, r.rows), where
+                assert f.acts.shape == (len(JOINT_NAMES), r.rows.size), where
+                if r.rows.size:
+                    scale = np.abs(r.acts.values).max()
+                    diff = np.abs(f.acts.values - r.acts.values).max()
                     assert diff <= 1e-13 * scale, (where, diff / scale)
             if kind == "box cropped away":
-                assert all(np.all(f.masked.values == eps) for f in got), where
+                assert all(f.rows.size == 0 for f in got), where
             if ref_loss is None:
                 assert loss is None, where
                 continue
@@ -245,6 +274,101 @@ class TestWindowedForward:
             for name, p in predictor.params.items():
                 diff = np.abs(grads.get(p, 0.0) - ref_grads.get(p, 0.0)).max()
                 assert diff <= 1e-12 * largest, (where, name, diff)
+
+
+def _eps_raster(tape, f):
+    """A view's activations scattered into a (J, H*W) raster holding ε at
+    every pixel it does not fuse, as a tape node."""
+    vals = np.full((f.acts.shape[0], f.valid.size), MaskConfig().epsilon)
+    vals[:, f.rows] = f.acts.values
+    out = Tensor(vals, requires_grad=f.acts.requires_grad)
+    if tape is not None and out.requires_grad:
+        tape.record((f.acts,), out, lambda g: (g[:, f.rows],), "scatter")
+    return out
+
+
+def _targets(scene, person, views, mode):
+    """The targets P._person_loss_3d / _person_loss_2d score."""
+    if mode == "proposed-3d":
+        gt = scene.gt_pose3(person)
+        return [{j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)
+                 if gt.joints[name] is not None}]
+    refs = [scene.gt_pose2(person, v) for v in views]
+    return [{j: np.asarray(ref.joints[name]) for j, name in enumerate(JOINT_NAMES)
+             if ref.joints[name] is not None} for ref in refs]
+
+
+class TestSparseFusion:
+    """The 3D and 2D soft centres over each view's fused pixels against
+    fusion on ε rasters, which took every pixel of every view: the
+    activations scattered into an ε raster, fused over the views' whole
+    clouds or the whole pixel grid. ε entries carry exactly zero softmax
+    weight, so only summation order differs. A person whose views fuse
+    no pixel (crops that remove the box) had all-ε rasters and so a
+    uniform softmax: the mean of the whole clouds, or the grid centre."""
+
+    @staticmethod
+    def _centres(tape, forwards, mode, dense):
+        if mode == "proposed-3d":
+            if dense:
+                return [soft_center_stack(tape, [_eps_raster(tape, f) for f in forwards],
+                                          [f.cloud for f in forwards])]
+            return [P.fused_centers(tape, forwards)]
+        out = []
+        for f in forwards:
+            if dense:
+                h, w = f.valid.shape
+                out.append(_multi_view_soft_centers(tape, [_eps_raster(tape, f)],
+                                                    [pixel_coordinates(h, w)],
+                                                    "soft_center_2d"))
+            else:
+                out.append(P._view_centers_2d(tape, f))
+        return out
+
+    @pytest.mark.parametrize("mode", ["proposed-3d", "baseline-2d"])
+    def test_matches_fusion_on_eps_rasters(self, cases, mode):
+        predictor = ToyPredictor.initialise(3)
+        worst = worst_grad = 0.0
+        for kind, scene, person, records in cases:
+            results = []
+            for dense in (False, True):
+                tape = Tape()
+                forwards = forward_scene(predictor, scene, person, records, tape)
+                forwards = [f for f in forwards if f.valid.any()]
+                if not forwards:
+                    break
+                centres = self._centres(tape, forwards, mode, dense)
+                targets = _targets(scene, person, [f.view for f in forwards], mode)
+                loss = P._mean_distance(tape, centres, targets)
+                grads = backward(tape, loss) if loss is not None else {}
+                results.append(([c.values for c in centres], grads))
+            if not results:
+                continue
+            (got, grads), (want, ref_grads) = results
+            where = f"{kind}, {scene.id} person {person}"
+            scale = max(np.abs(c).max() for c in want)
+            diff = max(np.abs(g - c).max() for g, c in zip(got, want))
+            assert diff <= 1e-13 * scale, (where, diff / scale)
+            worst = max(worst, diff / scale)
+            params = predictor.params.values()
+            largest = max(np.abs(ref_grads.get(p, 0.0)).max() for p in params)
+            for name, p in predictor.params.items():
+                diff = np.abs(grads.get(p, 0.0) - ref_grads.get(p, 0.0)).max()
+                assert diff <= 1e-12 * largest, (where, name, diff)
+                if largest:
+                    worst_grad = max(worst_grad, diff / largest)
+        print(f"\n{mode}: worst difference of the largest entry: centres {worst:.2e}, "
+              f"gradients {worst_grad:.2e}")
+
+    def test_cases_include_partial_and_empty_support(self, cases):
+        # some person fuses pixels in some views only, and some in none
+        partial = empty = False
+        for _kind, scene, person, records in cases:
+            fused = [f.rows.size > 0 for f in forward_scene(
+                ToyPredictor.initialise(3), scene, person, records, None) if f.valid.any()]
+            partial |= any(fused) and not all(fused)
+            empty |= bool(fused) and not any(fused)
+        assert empty and partial
 
 
 class TestTraining:
