@@ -8,10 +8,10 @@ row-major; 0.0 marks unknown depth).
 
 The synthetic generator renders articulated stick figures (joint spheres
 plus bone capsules) into depth maps by per-pixel ray casting against the
-figures, a floor plane and four walls, and derives every annotation a
-downstream test needs: exact projections, per-view visibility, boxes,
-and the per-scene lifting error that bounds what any pixel-grid method
-can achieve.
+figures (each primitive only over its screen-space rectangle), a floor
+plane and four walls, and derives every annotation a downstream test
+needs: exact projections, per-view visibility, boxes, and the per-scene
+lifting error that bounds what any pixel-grid method can achieve.
 """
 
 from __future__ import annotations
@@ -262,27 +262,37 @@ def _typed(kind, doc: dict, key: str, context: str):
                                f"got {value!r}") from None
 
 
+def _shaped(kind, value, context: str):
+    """``value`` if it is a ``kind`` (dict or list), else a SceneFormatError
+    naming ``context``."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise SceneFormatError(f"{context} must be {what}, got {type(value).__name__}")
+    return value
+
+
 def load_scene(directory) -> Scene:
     """Read and validate a scene directory; units normalize to meters."""
     path = os.path.join(directory, "scene.json")
     try:
         with open(path, "r", encoding="ascii") as f:
-            doc = json.load(f)
+            doc = _shaped(dict, json.load(f), path)
     except FileNotFoundError:
         raise SceneFormatError(f"{path}: missing scene.json")
-    except json.JSONDecodeError as e:
-        raise SceneFormatError(f"{path}: invalid JSON: {e}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SceneFormatError(f"{path}: invalid JSON: {e}") from None
 
     units = _field(doc, "units", path)
-    if units not in _UNIT_SCALE:
+    if not isinstance(units, str) or units not in _UNIT_SCALE:
         raise SceneFormatError(f"{path}: units: unknown unit '{units}'")
     scale = _UNIT_SCALE[units]
 
     views = []
-    for vdoc in _field(doc, "views", path):
+    for i, vdoc in enumerate(_shaped(list, _field(doc, "views", path), f"{path}: views")):
+        _shaped(dict, vdoc, f"{path}: views[{i}]")
         ctx = f"{path}: views[{vdoc.get('view', '?')}]"
         v = _typed(int, vdoc, "view", ctx)
-        cam_doc = _field(vdoc, "camera", ctx)
+        cam_doc = _shaped(dict, _field(vdoc, "camera", ctx), f"{ctx}.camera")
         try:
             t_raw = np.asarray(_field(cam_doc, "to_reference", f"{ctx}.camera"),
                                dtype=np.float64)
@@ -312,8 +322,8 @@ def load_scene(directory) -> Scene:
         if colour.shape[1:] != (h, w) or depth_raster.shape != (h, w):
             raise SceneFormatError(f"{ctx}: raster sizes disagree with declared {h}x{w}")
         boxes = {}
-        for bdoc in vdoc.get("boxes", []):
-            p = _typed(int, bdoc, "person", f"{ctx}.boxes")
+        for k, bdoc in enumerate(_shaped(list, vdoc.get("boxes", []), f"{ctx}.boxes")):
+            p = _typed(int, _shaped(dict, bdoc, f"{ctx}.boxes[{k}]"), "person", f"{ctx}.boxes")
             bctx = f"{ctx}.boxes[person={p}]"
             try:
                 boxes[p] = BoundingBox(view=v, person=p, **{
@@ -334,28 +344,31 @@ def load_scene(directory) -> Scene:
         raise SceneFormatError(f"{path}: view 0 must carry the identity to_reference")
 
     joints3d, joints2d, visibility = {}, {}, {}
-    persons = _field(doc, "persons", path)
-    for pdoc in persons:
-        p = _typed(int, pdoc, "person", path)
+    persons = _shaped(list, _field(doc, "persons", path), f"{path}: persons")
+    for i, pdoc in enumerate(persons):
+        p = _typed(int, _shaped(dict, pdoc, f"{path}: persons[{i}]"), "person", path)
         ctx = f"{path}: persons[{p}]"
         j3 = {}
+        j3_doc = _shaped(dict, _field(pdoc, "joints3d", ctx), f"{ctx}.joints3d")
         for name in JOINT_NAMES:
-            xyz = _field(_field(pdoc, "joints3d", ctx), name, f"{ctx}.joints3d")
+            xyz = _field(j3_doc, name, f"{ctx}.joints3d")
             try:
                 j3[name] = Point3(*(scale * float(c) for c in xyz))
             except (TypeError, ValueError, GeometryError) as e:
                 raise SceneFormatError(f"{ctx}.joints3d.{name}: {e}") from None
         joints3d[p] = j3
-        for vdoc in _field(pdoc, "views", ctx):
-            v = _typed(int, vdoc, "view", ctx)
+        for k, vdoc in enumerate(_shaped(list, _field(pdoc, "views", ctx), f"{ctx}.views")):
+            v = _typed(int, _shaped(dict, vdoc, f"{ctx}.views[{k}]"), "view", ctx)
+            j2_doc = _shaped(dict, _field(vdoc, "joints2d", ctx), f"{ctx}: view {v} joints2d")
+            vis_doc = _shaped(dict, _field(vdoc, "visible", ctx), f"{ctx}: view {v} visible")
             j2, vis = {}, {}
             for name in JOINT_NAMES:
-                raw = _field(vdoc, "joints2d", ctx).get(name)
+                raw = j2_doc.get(name)
                 try:
                     j2[name] = None if raw is None else (float(raw[0]), float(raw[1]))
                 except (TypeError, ValueError, IndexError) as e:
                     raise SceneFormatError(f"{ctx}: view {v} joints2d.{name}: {e}") from None
-                vis[name] = bool(_field(vdoc, "visible", ctx).get(name, False))
+                vis[name] = bool(vis_doc.get(name, False))
                 if vis[name] and j2[name] is None:
                     raise SceneFormatError(f"{ctx}: view {v} joint '{name}' visible but missing joints2d")
             joints2d[(p, v)] = j2
@@ -546,42 +559,91 @@ def _sample_person(rng, cfg: SynthConfig, existing: list) -> dict:
     return joints
 
 
-def _render_depth(pixel_dirs: np.ndarray, eye: np.ndarray, rot: np.ndarray,
-                  persons_world: list, cfg: SynthConfig) -> np.ndarray:
-    """Nearest-intersection z-depth for every pixel ray; 0.0 where no
-    geometry is hit. pixel_dirs is (HW, 3) in camera coordinates with
-    unit z, so the ray parameter equals the camera z-depth."""
+_S_MIN = 0.05                                   # nearest ray parameter that counts as a hit
+_CUBE_CORNERS = np.array([[sx, sy, sz] for sx in (-1.0, 1.0)
+                          for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
+
+
+def _ball_rects(centres_cam: np.ndarray, radii: np.ndarray,
+                col_dirs: np.ndarray, row_dirs: np.ndarray) -> np.ndarray:
+    """Conservative pixel rectangles (row0, row1, col0, col1), half-open,
+    of balls with camera-frame centres (B, 3) and radii (R,): (R, B, 4).
+
+    A ball in front of the near plane projects inside the x/z, y/z bounds
+    of its bounding cube's corners; the rows and columns whose ray
+    direction lies in those bounds, widened by one pixel each way, hold
+    every ray that can hit it. A ball reaching the near plane gets the
+    whole image. A rectangle holding a ray inside the bounds has at least
+    two pixels whenever the image has, so its (n, 3) @ (3,) products take
+    the same BLAS path, with the same bits, as the whole grid's (numpy
+    computes a one-row product differently)."""
+    h, w = row_dirs.size, col_dirs.size
+    corners = (centres_cam[None, :, None, :]
+               + radii[:, None, None, None] * _CUBE_CORNERS)          # (R, B, 8, 3)
+    near = centres_cam[None, :, 2] - radii[:, None] <= _S_MIN
+    z = np.where(near[..., None], 1.0, corners[..., 2])   # near: whole image, set below
+    sx, sy = corners[..., 0] / z, corners[..., 1] / z
+    rects = np.stack([
+        np.searchsorted(row_dirs, sy.min(axis=2), "left") - 1,
+        np.searchsorted(row_dirs, sy.max(axis=2), "right") + 1,
+        np.searchsorted(col_dirs, sx.min(axis=2), "left") - 1,
+        np.searchsorted(col_dirs, sx.max(axis=2), "right") + 1,
+    ], axis=-1)
+    rects[near] = (0, h, 0, w)
+    return np.clip(rects, 0, [h, h, w, w])
+
+
+_EDGE_ENDS = np.array([[JOINT_NAMES.index(a), JOINT_NAMES.index(b)] for a, b in SKELETON_EDGES])
+
+
+def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
+                  rot: np.ndarray, persons_world: list, cfg: SynthConfig) -> np.ndarray:
+    """Nearest-intersection z-depth (H, W) of every pixel ray; 0.0 where
+    no geometry is hit. Pixel (y, x) looks along the camera-frame
+    direction (col_dirs[x], row_dirs[y], 1), so the ray parameter equals
+    the camera z-depth. Each joint sphere and bone capsule is intersected
+    only with the rays of its screen-space rectangle; the floor and the
+    walls with every ray."""
+    h, w = row_dirs.size, col_dirs.size
+    pixel_dirs = np.stack([np.tile(col_dirs, h), np.repeat(row_dirs, w), np.ones(h * w)], axis=1)
     d = pixel_dirs @ rot.T                       # world-frame directions, (HW, 3)
+    grid = d.reshape(h, w, 3)
     o = eye
-    n = d.shape[0]
-    s_min = 0.05
-    best = np.full(n, np.inf)
+    best = np.full(h * w, np.inf)
+    best_grid = best.reshape(h, w)
 
-    def consider(s, mask):
-        np.minimum(best, np.where(mask & (s > s_min), s, np.inf), out=best)
+    def consider(out, s, mask):
+        np.minimum(out, np.where(mask & (s > _S_MIN), s, np.inf).reshape(out.shape), out=out)
 
+    radii = np.array([cfg.joint_radius, cfg.capsule_radius])
     for joints in persons_world:
-        centers = [joints[name] for name in JOINT_NAMES]
-        for c in centers:
+        centers = np.array([joints[name] for name in JOINT_NAMES])
+        rects = _ball_rects((centers - o) @ rot, radii, col_dirs, row_dirs)
+        # a capsule is the convex hull of its end balls: the union of their rectangles
+        ends = rects[1][_EDGE_ENDS]                                      # (E, 2, 4)
+        capsule_rects = np.where([True, False, True, False], ends.min(axis=1), ends.max(axis=1))
+        for c, (r0, r1, c0, c1) in zip(centers, rects[0].tolist()):
+            dr = grid[r0:r1, c0:c1].reshape(-1, 3)
             oc = o - c
-            a = np.einsum("ij,ij->i", d, d)
-            b = 2.0 * d @ oc
+            a = np.einsum("ij,ij->i", dr, dr)
+            b = 2.0 * dr @ oc
             cc = float(oc @ oc) - cfg.joint_radius ** 2
             disc = b * b - 4.0 * a * cc
             hit = disc >= 0.0
             sq = np.sqrt(np.where(hit, disc, 0.0))
             s = (-b - sq) / (2.0 * a)
-            consider(s, hit)
-        for (na, nb) in SKELETON_EDGES:
+            consider(best_grid[r0:r1, c0:c1], s, hit)
+        for (na, nb), (r0, r1, c0, c1) in zip(SKELETON_EDGES, capsule_rects.tolist()):
             a_pt, b_pt = joints[na], joints[nb]
             axis = b_pt - a_pt
             length = float(np.linalg.norm(axis))
             if length < 1e-9:
                 continue
+            dr = grid[r0:r1, c0:c1].reshape(-1, 3)
             u = axis / length
             m = o - a_pt
-            d_par = d @ u
-            dd = d - d_par[:, None] * u
+            d_par = dr @ u
+            dd = dr - d_par[:, None] * u
             m_par = float(m @ u)
             mm = m - m_par * u
             a2 = np.einsum("ij,ij->i", dd, dd)
@@ -593,12 +655,12 @@ def _render_depth(pixel_dirs: np.ndarray, eye: np.ndarray, rot: np.ndarray,
             sq = np.sqrt(np.where(hit, disc, 0.0))
             s = np.where(ok, (-b2 - sq) / np.where(ok, 2.0 * a2, 1.0), np.inf)
             axial = m_par + s * d_par
-            consider(s, hit & (axial >= 0.0) & (axial <= length))
+            consider(best_grid[r0:r1, c0:c1], s, hit & (axial >= 0.0) & (axial <= length))
 
     # floor plane y = 0
     going_down = d[:, 1] < -1e-12
     s_floor = np.where(going_down, -o[1] / np.where(going_down, d[:, 1], 1.0), np.inf)
-    consider(s_floor, going_down)
+    consider(best, s_floor, going_down)
     # four walls of finite height
     half = cfg.room_size / 2.0
     for axis_i, value in ((0, half), (0, -half), (2, half), (2, -half)):
@@ -607,10 +669,10 @@ def _render_depth(pixel_dirs: np.ndarray, eye: np.ndarray, rot: np.ndarray,
         y_hit = o[1] + s_wall * d[:, 1]
         other = 2 - axis_i
         o_hit = o[other] + s_wall * d[:, other]
-        consider(s_wall, moving & (y_hit >= 0.0) & (y_hit <= cfg.wall_height)
+        consider(best, s_wall, moving & (y_hit >= 0.0) & (y_hit <= cfg.wall_height)
                  & (np.abs(o_hit) <= half + 1e-9))
 
-    return np.where(np.isfinite(best), best, 0.0)
+    return np.where(np.isfinite(best_grid), best_grid, 0.0)
 
 
 def _depth_to_colour(depth: np.ndarray) -> np.ndarray:
@@ -639,17 +701,12 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng) -> Scene:
     persons_world = [_sample_person(rng, cfg, placed) for _ in range(n_persons)]
 
     h, w = cfg.image_h, cfg.image_w
-    ys, xs = np.mgrid[0:h, 0:w]
     views = []
     depth_rasters = []
     for v, (pose, cam) in enumerate(zip(world_poses, cameras)):
-        dirs = np.stack([
-            (xs.ravel() - cam.cx) / cam.fx,
-            (ys.ravel() - cam.cy) / cam.fy,
-            np.ones(h * w),
-        ], axis=1)
-        depth = _render_depth(dirs, pose.translation, pose.rotation, persons_world, cfg)
-        depth = depth.reshape(h, w).astype(np.float32).astype(np.float64)
+        depth = _render_depth((np.arange(w) - cam.cx) / cam.fx, (np.arange(h) - cam.cy) / cam.fy,
+                              pose.translation, pose.rotation, persons_world, cfg)
+        depth = depth.astype(np.float32).astype(np.float64)
         depth_rasters.append(depth)
         views.append(SceneView(
             view=v, camera=cam, colour=_depth_to_colour(depth),

@@ -3,8 +3,8 @@ with its measured numbers once its assertions hold.
 
 Criterion 7 trains both loss modes on the full 200-scene synthetic set
 and criterion 8 reuses the trained proposed-3d model, so those two share
-session-scoped fixtures; expect about two minutes of wall time for the
-pair on a 2-core machine.
+session-scoped fixtures; expect a minute and a half of wall time for
+the pair on a 2-core machine.
 """
 
 import itertools

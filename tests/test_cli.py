@@ -285,6 +285,26 @@ class TestMalformedInputs:
         err = self._fuse_error(scene_dir, tmp_path, capsys)
         assert str(scene_dir / "scene.json") in err and field in err
 
+    @pytest.mark.parametrize("field, mutate", [
+        ("views[0]", lambda doc: doc["views"].__setitem__(0, 1)),
+        ("joints2d", lambda doc: doc["persons"][0]["views"][0].update(joints2d=1)),
+        ("visible", lambda doc: doc["persons"][0]["views"][0].update(visible=[])),
+        ("boxes", lambda doc: doc["views"][0].update(boxes=5)),
+        ("persons[0]", lambda doc: doc["persons"].__setitem__(0, 7)),
+    ], ids=["view_entry_number", "joints2d_number", "visible_list", "boxes_number",
+            "person_entry_number"])
+    def test_scene_structure_of_wrong_type(self, dataset, tmp_path, capsys, field, mutate):
+        scene_dir = self._mutated_scene(dataset, tmp_path, mutate)
+        err = self._fuse_error(scene_dir, tmp_path, capsys)
+        assert str(scene_dir / "scene.json") in err and field in err
+
+    def test_scene_file_with_non_ascii_byte(self, dataset, tmp_path, capsys):
+        scene_dir = self._mutated_scene(dataset, tmp_path, lambda doc: None)
+        path = scene_dir / "scene.json"
+        path.write_bytes(path.read_bytes().replace(b'"units"', b'"units\xc3\xa9"', 1))
+        err = self._fuse_error(scene_dir, tmp_path, capsys)
+        assert str(path) in err and "JSON" in err
+
     def _heatmap_dir(self, dataset, tmp_path):
         from posefusion.data import load_scene, make_target_heatmaps
         scene_dir = dataset / "scenes" / "scene_0000"

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from posefusion.data import (
+    SKELETON_EDGES,
     GenerationError,
     SceneFormatError,
     SynthConfig,
+    _camera_rig,
+    _render_depth,
+    _sample_person,
     generate_dataset,
     generate_synthetic,
     lift_errors,
@@ -219,6 +223,131 @@ class TestGenerator:
             SynthConfig(capsule_radius=0.2, joint_radius=0.1)
         with pytest.raises(GenerationError):
             SynthConfig(camera_radius=5.0, room_size=5.0)
+
+
+def _full_grid_render_depth(pixel_dirs, eye, rot, persons_world, cfg):
+    """Reference renderer: every joint sphere and bone capsule against
+    every pixel ray, with the arithmetic of ``data._render_depth``."""
+    d = pixel_dirs @ rot.T
+    o = eye
+    n = d.shape[0]
+    s_min = 0.05
+    best = np.full(n, np.inf)
+
+    def consider(s, mask):
+        np.minimum(best, np.where(mask & (s > s_min), s, np.inf), out=best)
+
+    for joints in persons_world:
+        for c in [joints[name] for name in JOINT_NAMES]:
+            oc = o - c
+            a = np.einsum("ij,ij->i", d, d)
+            b = 2.0 * d @ oc
+            cc = float(oc @ oc) - cfg.joint_radius ** 2
+            disc = b * b - 4.0 * a * cc
+            hit = disc >= 0.0
+            sq = np.sqrt(np.where(hit, disc, 0.0))
+            s = (-b - sq) / (2.0 * a)
+            consider(s, hit)
+        for (na, nb) in SKELETON_EDGES:
+            a_pt, b_pt = joints[na], joints[nb]
+            axis = b_pt - a_pt
+            length = float(np.linalg.norm(axis))
+            if length < 1e-9:
+                continue
+            u = axis / length
+            m = o - a_pt
+            d_par = d @ u
+            dd = d - d_par[:, None] * u
+            m_par = float(m @ u)
+            mm = m - m_par * u
+            a2 = np.einsum("ij,ij->i", dd, dd)
+            b2 = 2.0 * dd @ mm
+            c2 = float(mm @ mm) - cfg.capsule_radius ** 2
+            ok = a2 > 1e-14
+            disc = b2 * b2 - 4.0 * a2 * c2
+            hit = ok & (disc >= 0.0)
+            sq = np.sqrt(np.where(hit, disc, 0.0))
+            s = np.where(ok, (-b2 - sq) / np.where(ok, 2.0 * a2, 1.0), np.inf)
+            axial = m_par + s * d_par
+            consider(s, hit & (axial >= 0.0) & (axial <= length))
+
+    going_down = d[:, 1] < -1e-12
+    s_floor = np.where(going_down, -o[1] / np.where(going_down, d[:, 1], 1.0), np.inf)
+    consider(s_floor, going_down)
+    half = cfg.room_size / 2.0
+    for axis_i, value in ((0, half), (0, -half), (2, half), (2, -half)):
+        moving = np.abs(d[:, axis_i]) > 1e-12
+        s_wall = np.where(moving, (value - o[axis_i]) / np.where(moving, d[:, axis_i], 1.0), np.inf)
+        y_hit = o[1] + s_wall * d[:, 1]
+        other = 2 - axis_i
+        o_hit = o[other] + s_wall * d[:, other]
+        consider(s_wall, moving & (y_hit >= 0.0) & (y_hit <= cfg.wall_height)
+                 & (np.abs(o_hit) <= half + 1e-9))
+
+    return np.where(np.isfinite(best), best, 0.0)
+
+
+class TestRenderer:
+    """The renderer intersects each sphere and capsule only with the rays
+    of its screen-space rectangle; its float64 depth rasters must equal
+    the full-grid reference's bit for bit."""
+
+    @staticmethod
+    def _compare(cfg, persons_world):
+        """Both renderers on every view; returns how many views hold a
+        joint sphere that reaches the near plane."""
+        world_poses, cameras = _camera_rig(cfg)
+        h, w = cfg.image_h, cfg.image_w
+        ys, xs = np.mgrid[0:h, 0:w]
+        near_views = 0
+        for pose, cam in zip(world_poses, cameras):
+            dirs = np.stack([(xs.ravel() - cam.cx) / cam.fx, (ys.ravel() - cam.cy) / cam.fy,
+                             np.ones(h * w)], axis=1)
+            want = _full_grid_render_depth(dirs, pose.translation, pose.rotation,
+                                           persons_world, cfg).reshape(h, w)
+            got = _render_depth((np.arange(w) - cam.cx) / cam.fx,
+                                (np.arange(h) - cam.cy) / cam.fy,
+                                pose.translation, pose.rotation, persons_world, cfg)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            z = np.array([(j[name] - pose.translation) @ pose.rotation[:, 2]
+                          for j in persons_world for name in JOINT_NAMES])
+            near_views += bool((z - cfg.joint_radius <= 0.05).any())
+        return near_views
+
+    @pytest.mark.parametrize("fields, draws", [
+        ({}, 12),
+        ({"image_h": 24, "image_w": 32}, 4),
+        ({"image_h": 31, "image_w": 47, "views": 4}, 4),
+        ({"views": 1, "camera_heights": (1.6,)}, 4),
+        ({"image_h": 128, "image_w": 160}, 2),
+        ({"joint_radius": 0.2, "capsule_radius": 0.15, "focal": 30.0}, 4),
+    ], ids=["default", "24x32", "31x47_4views", "1view", "128x160", "large_radii"])
+    def test_equals_full_grid_on_drawn_persons(self, fields, draws):
+        cfg = SynthConfig(seed=21, **fields)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(draws):
+            placed = []
+            n = int(rng.integers(cfg.min_persons, cfg.max_persons + 1))
+            self._compare(cfg, [_sample_person(rng, cfg, placed) for _ in range(n)])
+
+    def test_equals_full_grid_at_the_near_plane(self):
+        # a tight room, where arms come within a joint radius of a camera,
+        # and a figure shifted so that its wrist sits 12 cm in front of
+        # camera 0: that sphere reaches the near plane, and the rays at the
+        # border of the view meet it beyond the near plane
+        cfg = SynthConfig(camera_radius=0.95, room_size=2.2, spawn_radius=0.7,
+                          min_person_gap=0.4, seed=5)
+        rng = np.random.default_rng(cfg.seed)
+        near_views = 0
+        for _ in range(12):
+            placed = []
+            persons = [_sample_person(rng, cfg, placed) for _ in range(3)]
+            near_views += self._compare(cfg, persons)
+        assert near_views > 0
+        pose = _camera_rig(cfg)[0][0]
+        joints = _sample_person(rng, cfg, [])
+        shift = pose.translation + 0.12 * pose.rotation[:, 2] - joints["wrist_l"]
+        assert self._compare(cfg, [{k: p + shift for k, p in joints.items()}]) == 1
 
 
 class TestTargetHeatmaps:
