@@ -71,6 +71,10 @@ class AugmentationConfig:
             raise AugmentError("rot_deg_max must be >= 0")
         if not 0.0 < self.jitter_low <= self.jitter_high:
             raise AugmentError("jitter range must satisfy 0 < low <= high")
+        for name, width in (("rot_deg_max", 2.0 * self.rot_deg_max),
+                            ("jitter_high", self.jitter_high - self.jitter_low)):
+            if not math.isfinite(width):
+                raise AugmentError(f"{name} gives a sampling range of non-finite width")
 
 
 @dataclass(frozen=True)

@@ -266,14 +266,13 @@ def _cmd_fuse(args) -> int:
     if args.out_points:
         acts = np.concatenate([fw.acts.values for fw in forwards], axis=1)
         coords = np.concatenate([fw.coords for fw in forwards], axis=0)
+        _, weights = F.soft_center(acts, coords)
         with open(args.out_points, "w", encoding="ascii") as f:
             f.write("# joint x_m y_m z_m weight\n")
             for i, name in enumerate(F.JOINT_NAMES):
-                _, weights = F.soft_center(acts[i], coords)
-                keep = np.flatnonzero(weights >= 1e-6)
-                for k in keep:
+                for k in np.flatnonzero(weights[i] >= 1e-6):
                     f.write(f"{name} {coords[k, 0]:.6f} {coords[k, 1]:.6f} "
-                            f"{coords[k, 2]:.6f} {weights[k]:.6e}\n")
+                            f"{coords[k, 2]:.6f} {weights[i, k]:.6e}\n")
     print(f"fused pose written to {args.out_pose}")
     return 0
 

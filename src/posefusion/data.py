@@ -469,6 +469,9 @@ class SynthConfig:
         if min(self.image_h, self.image_w, self.views, self.min_persons,
                self.train_scenes + self.test_scenes) <= 0 or self.focal <= 0:
             raise GenerationError("all sizes must be positive")
+        for name in ("train_scenes", "test_scenes"):
+            if getattr(self, name) < 0:
+                raise GenerationError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.max_persons < self.min_persons:
             raise GenerationError("max_persons < min_persons")
         if self.capsule_radius > self.joint_radius:

@@ -1,14 +1,14 @@
-"""Lift masked heatmaps into shared-frame point clouds and fuse them.
+"""Fuse per-view activations into shared-frame joint positions.
 
-Every fused pixel of every view becomes a 3D point (via its depth and
-camera) carrying its raw activation. Per joint, one softmax spans the
-combined multi-view cloud and the prediction is the weights' centre of
-mass. The chain stays differentiable: the aggregation registers a
-closed-form adjoint on the tape.
+Every fused pixel of every view is a 3D point (via its depth and camera)
+carrying its raw activation. Per joint, one softmax spans the points of
+all views and the prediction is the weights' centre of mass. One kernel,
+``soft_center``, computes that centre; ``soft_center_stack`` records it
+on the tape with its adjoint, so the 3D loss backpropagates through it.
 
-Also provides the 2D-domain alternative used as a baseline: per-view 2D
-centre of mass, depth indexing at the predicted pixel, and cross-view
-fusion weighted by the heatmap values sampled there.
+Also provides the 2D-domain alternative used as a baseline: depth
+indexing at each view's predicted pixel, and cross-view fusion weighted
+by the heatmap values sampled there.
 """
 
 from __future__ import annotations
@@ -19,28 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Camera, Point3, backproject_grid, backproject_pixel, transform_point, transform_points
-from .heatmap import DepthImage, Heatmap
+from .heatmap import DepthImage
 from .tensorgrad import NonFiniteError, Tape, Tensor
 
 __all__ = [
     "JOINT_NAMES",
     "JOINT_TYPES",
     "FusionError",
-    "CloudUnresolvableError",
-    "MetricUndefinedError",
     "Pose3",
     "Pose2",
-    "WeightedCloud",
-    "lift_heatmaps",
+    "view_cloud_coords",
     "soft_center",
-    "aggregate",
-    "aggregate_adjoint",
     "soft_center_stack",
-    "pixel_coordinates",
-    "com_2d",
-    "mpjpe_3d",
     "pose_distances",
-    "loss_2d",
     "lift_and_fuse_2d",
     "round_half_up",
 ]
@@ -66,14 +57,6 @@ JOINT_TYPES = {
 
 class FusionError(ValueError):
     """Invalid input to the fusion stage."""
-
-
-class CloudUnresolvableError(FusionError):
-    """Every activation in the cloud is excluded; no prediction possible."""
-
-
-class MetricUndefinedError(FusionError):
-    """No scorable joints; the mean error is undefined."""
 
 
 @dataclass(frozen=True)
@@ -107,32 +90,6 @@ class Pose2:
             raise FusionError(f"pose joints must be exactly {JOINT_NAMES}")
 
 
-@dataclass(frozen=True)
-class WeightedCloud:
-    """Combined multi-view cloud for one (person, joint).
-
-    coords holds the shared-frame positions of all V*H*W pixels in view
-    order (row-major within a view); activations the matching raw values;
-    valid marks entries that were not exclusion-masked.
-    """
-
-    person: int
-    joint: int
-    coords: np.ndarray
-    activations: np.ndarray
-    valid: np.ndarray
-    view_slices: tuple
-
-    def __post_init__(self):
-        if self.coords.shape != (self.activations.size, 3) or self.valid.shape != self.activations.shape:
-            raise FusionError("cloud arrays are inconsistently shaped")
-
-    def points(self):
-        """Iterate (Point3, activation) pairs, mainly for inspection/export."""
-        for c, a in zip(self.coords, self.activations):
-            yield Point3(float(c[0]), float(c[1]), float(c[2])), float(a)
-
-
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -143,72 +100,13 @@ def view_cloud_coords(depth: DepthImage, camera: Camera) -> np.ndarray:
     return transform_points(pts, camera.to_reference)
 
 
-def lift_heatmaps(heatmaps: list[Heatmap], depths: list[DepthImage],
-                  cameras: list[Camera], person: int = 0) -> WeightedCloud:
-    """Back-project one person+joint's masked heatmaps from all views and
-    concatenate them into a single weighted cloud."""
-    if not heatmaps:
-        raise FusionError("no heatmaps to lift")
-    if len(heatmaps) != len(depths) or len(heatmaps) != len(cameras):
-        raise FusionError("heatmaps, depths and cameras must align per view")
-    coords, acts, valid, slices = [], [], [], []
-    joint = heatmaps[0].joint
-    start = 0
-    for h, d, cam in zip(heatmaps, depths, cameras):
-        if d is None:
-            raise FusionError(f"missing depth image for view {h.view}")
-        if h.valid is None:
-            raise FusionError(f"heatmap for view {h.view} has not been masked")
-        if h.raster.shape != d.raster.shape:
-            raise FusionError(f"heatmap/depth shape mismatch in view {h.view}")
-        coords.append(view_cloud_coords(d, cam))
-        acts.append(h.raster.ravel())
-        valid.append(h.valid.ravel())
-        n = h.raster.size
-        slices.append((h.view, start, start + n))
-        start += n
-    return WeightedCloud(
-        person=person,
-        joint=joint,
-        coords=np.concatenate(coords, axis=0),
-        activations=np.concatenate(acts),
-        valid=np.concatenate(valid),
-        view_slices=tuple(slices),
-    )
-
-
 def soft_center(activations: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax-weighted centre of mass: returns (centre (k,), weights (I,))."""
-    e = np.exp(activations - activations.max())
-    w = e / e.sum()
-    return coords.T @ w, w
-
-
-def aggregate(cloud: WeightedCloud) -> Point3:
-    """Fuse a cloud into a single 3D prediction.
-
-    Raises CloudUnresolvableError when every entry is exclusion-masked
-    (the joint has no supporting evidence and must be marked absent).
-    """
-    if cloud.activations.size == 0:
-        raise FusionError("empty cloud")
-    if not cloud.valid.any():
-        raise CloudUnresolvableError(
-            f"person {cloud.person} joint {cloud.joint}: all activations excluded"
-        )
-    center, _ = soft_center(cloud.activations, cloud.coords)
-    return Point3(float(center[0]), float(center[1]), float(center[2]))
-
-
-def aggregate_adjoint(activations: np.ndarray, coords: np.ndarray,
-                      upstream: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of the fused prediction w.r.t. raw activations.
-
-    With weights a = softmax(h) and prediction p = sum_i a_i c_i,
-    dL/dh_k = a_k * <g, c_k - p> for upstream gradient g.
-    """
-    center, w = soft_center(activations, coords)
-    return w * (coords @ upstream - float(center @ upstream))
+    """Softmax-weighted centre of mass over the last axis: (..., I)
+    activations at (I, k) coords give the (..., k) centres and the
+    (..., I) weights."""
+    e = np.exp(activations - activations.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    return w @ coords, w
 
 
 def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
@@ -217,21 +115,19 @@ def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
     concatenation of several (J, n) activation tensors.
 
     coords_list holds one (n, k) array per tensor. Output is (J, k).
-    The adjoint applies the aggregate_adjoint closed form per channel,
-    vectorised over channels, and splits gradients back per view.
+    With weights a = softmax(h) and centre p = sum_i a_i c_i per channel,
+    the adjoint is dL/dh_i = a_i * <g, c_i - p> for upstream g, split
+    back per tensor.
     """
     j = tensors[0].shape[0]
     mats = [t.values.reshape(j, -1) for t in tensors]
     acts = np.concatenate(mats, axis=1)                      # (J, I)
     coords = np.concatenate(coords_list, axis=0)             # (I, k)
-    e = np.exp(acts - acts.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)               # (J, I)
-    centers = weights @ coords                               # (J, k)
+    centers, weights = soft_center(acts, coords)             # (J, k), (J, I)
 
     sizes = [m.shape[1] for m in mats]
 
     def vjp(g):
-        # dL/dh[j,i] = a[j,i] * (<g_j, c_i> - <g_j, p_j>)
         proj = coords @ g.T                                  # (I, J)
         dots = np.einsum("jk,jk->j", centers, g)             # (J,)
         full = weights * (proj.T - dots[:, None])            # (J, I)
@@ -257,29 +153,6 @@ def soft_center_stack(tape: Tape | None, tensors: list[Tensor],
     return _multi_view_soft_centers(tape, tensors, coords_list, "soft_center_3d")
 
 
-def pixel_coordinates(height: int, width: int) -> np.ndarray:
-    """(H*W, 2) array of (x, y) pixel coordinates, row-major."""
-    ys, xs = np.mgrid[0:height, 0:width]
-    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-
-
-def soft_center_2d(tape: Tape | None, tensor: Tensor) -> Tensor:
-    """Differentiable per-channel 2D centre of mass of a (J, H, W) tensor."""
-    _, h, w = tensor.shape
-    return _multi_view_soft_centers(tape, [tensor], [pixel_coordinates(h, w)], "soft_center_2d")
-
-
-def com_2d(h: Heatmap) -> tuple[float, float] | None:
-    """2D centre of mass of a masked heatmap; None when fully excluded."""
-    if h.valid is None:
-        raise FusionError("com_2d requires a masked heatmap")
-    if not h.valid.any():
-        return None
-    hh, ww = h.raster.shape
-    center, _ = soft_center(h.raster.ravel(), pixel_coordinates(hh, ww))
-    return float(center[0]), float(center[1])
-
-
 def pose_distances(predicted, reference) -> dict:
     """Euclidean distances in meters for every jointly-present joint.
 
@@ -297,33 +170,6 @@ def pose_distances(predicted, reference) -> dict:
                 continue
             out[(pred.person, name)] = float(np.linalg.norm(a.as_array() - b.as_array()))
     return out
-
-
-def mpjpe_3d(predicted, reference) -> float:
-    """Mean per-joint position error over all scorable joints, in cm."""
-    d = pose_distances(predicted, reference)
-    if not d:
-        raise MetricUndefinedError("no jointly-present joints to score")
-    return float(np.mean(list(d.values()))) * 100.0
-
-
-def loss_2d(predicted, reference) -> float:
-    """Mean 2D joint distance in pixels over views, persons and joints
-    present in both prediction and reference."""
-    ref_by_key = {(p.view, p.person): p for p in reference}
-    dists = []
-    for pred in predicted:
-        ref = ref_by_key.get((pred.view, pred.person))
-        if ref is None:
-            continue
-        for name in JOINT_NAMES:
-            a, b = pred.joints[name], ref.joints[name]
-            if a is None or b is None:
-                continue
-            dists.append(math.hypot(a[0] - b[0], a[1] - b[1]))
-    if not dists:
-        raise MetricUndefinedError("no jointly-present 2D joints to score")
-    return float(np.mean(dists))
 
 
 def lift_and_fuse_2d(poses2d: list[Pose2], depths: dict, cameras: dict,

@@ -55,11 +55,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "Point3":
-        a = np.asarray(a, dtype=np.float64)
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
-
 
 _ROTATION_TOL = 1e-9
 

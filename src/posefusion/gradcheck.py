@@ -1,10 +1,11 @@
 """Finite-difference verification suites.
 
 Four suites mirror the layers of the differentiation stack: every
-forward op, the fused aggregation's closed-form adjoint, the inverse
+forward op and loss node, the softmax-centre node's adjoint, the inverse
 augmentation's transpose adjoint, and the full scene-to-loss chain with
-respect to every predictor parameter. The CLI ``gradcheck`` command runs
-them all and exits nonzero on any tolerance violation.
+respect to every predictor parameter. Between them they record every
+node kind a training step puts on the tape. The CLI ``gradcheck``
+command runs them all and exits nonzero on any tolerance violation.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from . import tensorgrad as tg
 from .augment import AugmentationRecord, inverse_warp, invert_on_heatmap_tensor
 from .data import SynthConfig, generate_synthetic
-from .fusion import soft_center_stack
-from .pipeline import ToyPredictor, _person_loss_3d, _select_row, forward_scene
+from .fusion import _multi_view_soft_centers, soft_center_stack
+from .pipeline import ToyPredictor, _mean_distance, _person_loss_3d, forward_scene
 from .tensorgrad import Tensor, finite_difference_check
 
 __all__ = ["tiny_synth_config", "op_gradient_errors", "aggregate_adjoint_error",
@@ -50,8 +51,8 @@ def _away_from(rng, size, low, high, kink_margin):
 
 
 def op_gradient_errors(seed: int = 0) -> dict:
-    """Max relative FD error for every differentiable forward op,
-    evaluated at random points bounded in [-3, 3]."""
+    """Max relative FD error for every differentiable forward op and the
+    loss node, evaluated at random points bounded in [-3, 3]."""
     rng = np.random.default_rng(seed)
     a = Tensor(rng.uniform(-3, 3, size=(4, 5)))
     b = Tensor(rng.uniform(-3, 3, size=(4, 5)))
@@ -90,45 +91,35 @@ def op_gradient_errors(seed: int = 0) -> dict:
     fd("conv2d_x_pad_0110", lambda tp, v: mixed_loss(tp, v, w_conv), x_img)
     fd("conv2d_w_pad_0110", lambda tp, v: mixed_loss(tp, x_img, v), w_conv)
 
-    x_vec = Tensor(rng.uniform(-3, 3, size=(6,)))
-    w_lin = Tensor(rng.uniform(-3, 3, size=(4, 6)))
-    b_lin = Tensor(rng.uniform(-3, 3, size=(4,)))
-    r_vec = Tensor(rng.uniform(-1, 1, size=(4,)))
-
-    def lin_loss(tp, y):
-        return tg.mean(tp, tg.multiply(tp, y, r_vec))
-
-    fd("linear_x", lambda tp, v: lin_loss(tp, tg.linear(tp, v, w_lin, b_lin)), x_vec)
-    fd("linear_w", lambda tp, v: lin_loss(tp, tg.linear(tp, x_vec, v, b_lin)), w_lin)
-    fd("linear_b", lambda tp, v: lin_loss(tp, tg.linear(tp, x_vec, w_lin, v)), b_lin)
-
-    coords = rng.uniform(-2, 2, size=(8, 3))
-    acts = Tensor(rng.uniform(-3, 3, size=(8,)))
-    g3 = Tensor(rng.uniform(-1, 1, size=(3,)))
-    fd("softmax_over_set",
-       lambda tp, v: tg.mean(tp, tg.multiply(tp, tg.weighted_sum(
-           tp, coords, tg.softmax_over_set(tp, v)), g3)),
-       acts)
-    wts = Tensor(rng.uniform(0.1, 3, size=(8,)))
-    fd("weighted_sum",
-       lambda tp, v: tg.mean(tp, tg.multiply(tp, tg.weighted_sum(tp, coords, v), g3)), wts)
+    acts = Tensor(rng.uniform(-3, 3, size=(2, 8)))
+    pixels = rng.integers(0, 9, size=(8, 2)).astype(np.float64)
+    r_2d = Tensor(rng.uniform(-1, 1, size=(2, 2)))
+    fd("soft_center_2d", lambda tp, v: tg.mean(tp, tg.multiply(tp, _multi_view_soft_centers(
+        tp, [v], [pixels], "soft_center_2d"), r_2d)), acts)
 
     norm_in = Tensor(rng.uniform(1, 3, size=(5,)))
     fd("euclidean_norm", lambda tp, v: tg.euclidean_norm(tp, v), norm_in)
+
+    # every scored distance at least 0.1*sqrt(3) from the kink at zero; a
+    # constant second prediction adds to the count the mean divides by
+    pred = Tensor(rng.uniform(-3, 3, size=(4, 3)))
+    targets = {j: pred.values[j] + _away_from(rng, 3, -1, 1, 0.1) for j in (0, 2, 3)}
+    other = Tensor(rng.uniform(-3, 3, size=(2, 2)))
+    other_targets = {1: other.values[1] + _away_from(rng, 2, -1, 1, 0.1)}
+    fd("mean_distance",
+       lambda tp, v: _mean_distance(tp, [v, other], [targets, other_targets]), pred)
     return errors
 
 
 def aggregate_adjoint_error(seed: int = 0, points: int = 12) -> float:
-    """FD error of the fused softmax-centre adjoint on a random cloud."""
+    """FD error of the softmax-centre node's adjoint on a random cloud."""
     rng = np.random.default_rng(seed)
     coords = rng.uniform(-2, 2, size=(points, 3))
     acts = Tensor(rng.uniform(-3, 3, size=(1, points)))
-    g = Tensor(rng.uniform(-1, 1, size=(3,)))
+    g = Tensor(rng.uniform(-1, 1, size=(1, 3)))
 
     def fn(tp, v):
-        centers = soft_center_stack(tp, [v], [coords])
-        row = _select_row(tp, centers, 0)
-        return tg.mean(tp, tg.multiply(tp, row, g))
+        return tg.mean(tp, tg.multiply(tp, soft_center_stack(tp, [v], [coords]), g))
 
     return finite_difference_check(fn, acts, 1e-6)
 
@@ -199,7 +190,7 @@ def run_all(seed: int = 0, verbose: bool = False) -> int:
     for name, err in op_gradient_errors(seed).items():
         report(name, err, OP_TOLERANCE)
     if verbose:
-        print("fused aggregation adjoint:")
+        print("softmax-centre adjoint:")
     report("aggregate_adjoint", aggregate_adjoint_error(seed), AGGREGATE_TOLERANCE)
     if verbose:
         print("inverse augmentation adjoint:")

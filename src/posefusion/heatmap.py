@@ -20,7 +20,6 @@ __all__ = [
     "MaskConfig",
     "InputTensor",
     "valid_pixel_mask",
-    "mask_raster",
     "mask_heatmap",
     "build_input_tensor",
 ]
@@ -157,27 +156,17 @@ def valid_pixel_mask(box: BoundingBox, depth: DepthImage) -> np.ndarray:
     return box.mask(h, w) & depth.known
 
 
-def mask_raster(raster: np.ndarray, box: BoundingBox, depth: DepthImage,
-                cfg: MaskConfig = MaskConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Apply exclusion masking to a raw activation raster.
-
-    Returns (masked raster, validity mask). Idempotent: re-masking leaves
-    already-excluded pixels at epsilon.
-    """
-    raster = np.asarray(raster, dtype=np.float64)
-    if raster.shape != depth.raster.shape:
-        raise HeatmapError(
-            f"heatmap shape {raster.shape} != depth shape {depth.raster.shape}"
-        )
-    valid = valid_pixel_mask(box, depth)
-    return np.where(valid, raster, cfg.epsilon), valid
-
-
 def mask_heatmap(h: Heatmap, box: BoundingBox, d: DepthImage,
                  cfg: MaskConfig = MaskConfig()) -> Heatmap:
-    """Exclusion-mask a heatmap by bounding box and depth validity."""
-    masked, valid = mask_raster(h.raster, box, d, cfg)
-    return Heatmap(view=h.view, joint=h.joint, raster=masked, valid=valid)
+    """Exclusion-mask a heatmap by bounding box and depth validity.
+
+    Idempotent: re-masking leaves already-excluded pixels at epsilon.
+    """
+    if h.raster.shape != d.raster.shape:
+        raise HeatmapError(f"heatmap shape {h.raster.shape} != depth shape {d.raster.shape}")
+    valid = valid_pixel_mask(box, d)
+    return Heatmap(view=h.view, joint=h.joint, raster=np.where(valid, h.raster, cfg.epsilon),
+                   valid=valid)
 
 
 def build_input_tensor(colour: np.ndarray, depth: DepthImage, box: BoundingBox) -> InputTensor:

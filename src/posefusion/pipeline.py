@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -144,21 +145,6 @@ class ToyPredictor:
 _RADII = tuple((shape[-1] - 1) // 2 for name, shape in ToyPredictor.PARAM_SHAPES.items()
                if name.endswith("_w"))
 HALO = sum(_RADII)
-
-
-def _select_row(tape: Tape | None, t: Tensor, row: int) -> Tensor:
-    """Tape node extracting one slice along a tensor's first axis."""
-    vals = t.values[row]
-
-    def vjp(g):
-        out = np.zeros(t.shape)
-        out[row] = g
-        return (out,)
-
-    out = Tensor(vals, requires_grad=t.requires_grad)
-    if tape is not None and out.requires_grad:
-        tape.record((t,), out, vjp, "select_row")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +323,9 @@ def _person_loss_2d(tape: Tape, forwards: list, scene: Scene, person: int) -> Te
 
 
 _INT = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
-_NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+# abs(v) <= max float also rejects NaN, and ints too large for a float
+_NUMBER = ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+           and abs(v) <= sys.float_info.max)
 _TEXT = ("a string", lambda v: isinstance(v, str))
 _PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
 # field name -> (what it must be, check)

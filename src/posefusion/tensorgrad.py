@@ -1,11 +1,12 @@
 """Minimal reverse-mode differentiation over double-precision arrays.
 
-The engine is deliberately closed-world: it provides exactly the forward
-operations needed by the heatmap predictor and the fusion chain, a tape
+The engine is deliberately closed-world: it provides the predictor's
+forward operations (``conv2d``, ``relu``), a few elementwise ops and
+``mean`` with which gradient checks reduce an output to a scalar, a tape
 that records them, a backward pass, an Adam optimizer, a checkpoint
-format, and a finite-difference verification oracle. Other modules may
-register their own nodes (with hand-derived adjoints) through
-``Tape.record``.
+format, and a finite-difference verification oracle. The fusion chain's
+nodes (inverse warp, soft centres, loss) carry hand-derived adjoints and
+register through ``Tape.record``.
 
 Everything is float64. NaN or Inf appearing in an op's output raises
 immediately, naming the op.
@@ -33,9 +34,6 @@ __all__ = [
     "scalar_divide",
     "conv2d",
     "relu",
-    "linear",
-    "softmax_over_set",
-    "weighted_sum",
     "euclidean_norm",
     "mean",
     "AdamState",
@@ -100,9 +98,6 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._consumed = False
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
     def record(self, inputs, output: Tensor, vjp, name: str = "custom") -> None:
         """Register a node. ``vjp(grad_out)`` must return one gradient array
@@ -222,69 +217,6 @@ def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor,
         return gx, gw, gb
 
     return _result(tape, (x, weight, bias), y, vjp, "conv2d")
-
-
-def linear(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Fully connected layer y = W x + b for a 1-D input."""
-    if x.values.ndim != 1 or weight.values.ndim != 2:
-        raise ShapeError(f"linear: bad operand shapes {x.shape}, {weight.shape}")
-    m, n = weight.shape
-    if x.shape != (n,) or bias.shape != (m,):
-        raise ShapeError(f"linear: incompatible shapes {x.shape}, {weight.shape}, {bias.shape}")
-    xv, wv = x.values, weight.values
-    y = wv @ xv + bias.values
-
-    def vjp(g):
-        return wv.T @ g, np.outer(g, xv), g
-
-    return _result(tape, (x, weight, bias), y, vjp, "linear")
-
-
-def softmax_over_set(tape: Tape | None, values: Tensor, valid_mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over a flat set of activations, stabilised by max subtraction.
-
-    Entries flagged invalid are expected to already carry the exclusion
-    value epsilon (see the heatmap module); they stay in the softmax
-    domain and receive the (numerically zero) weight exp(eps - max)/Z.
-    The mask only guards against a fully invalid set.
-    """
-    if values.values.ndim != 1:
-        raise ShapeError(f"softmax_over_set: input must be 1-D, got {values.shape}")
-    if valid_mask is not None:
-        valid_mask = np.asarray(valid_mask, dtype=bool)
-        if valid_mask.shape != values.shape:
-            raise ShapeError(
-                f"softmax_over_set: mask shape {valid_mask.shape} != values shape {values.shape}"
-            )
-        if not valid_mask.any():
-            raise TensorGradError("softmax_over_set: no valid entries in set")
-    v = values.values
-    e = np.exp(v - v.max())
-    p = e / e.sum()
-
-    def vjp(g):
-        return (p * (g - np.dot(g, p)),)
-
-    return _result(tape, (values,), p, vjp, "softmax_over_set")
-
-
-def weighted_sum(tape: Tape | None, coords: np.ndarray, weights: Tensor) -> Tensor:
-    """Sum of coordinate rows weighted per entry: (I, k) x (I,) -> (k,).
-
-    Coordinates are data (back-projected pixel positions), not a
-    differentiated quantity; gradients flow to the weights only.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if weights.values.ndim != 1 or coords.ndim != 2 or coords.shape[0] != weights.shape[0]:
-        raise ShapeError(
-            f"weighted_sum: incompatible shapes coords {coords.shape}, weights {weights.shape}"
-        )
-    y = coords.T @ weights.values
-
-    def vjp(g):
-        return (coords @ g,)
-
-    return _result(tape, (weights,), y, vjp, "weighted_sum")
 
 
 def euclidean_norm(tape: Tape | None, x: Tensor) -> Tensor:

@@ -44,6 +44,17 @@ class TestSynthGen:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--train-scenes", "--test-scenes"])
+    def test_negative_scene_count_exits_1(self, tmp_path, capsys, flag):
+        out = tmp_path / "x"
+        rc = main(["synth-gen", "--out", str(out), flag, "-1",
+                   "--image-h", "16", "--image-w", "20"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["synth-gen"])  # missing --out
@@ -344,6 +355,18 @@ class TestMalformedInputs:
         assert rc == 1
         err = self._error_line(capsys)
         assert str(cfg) in err and "'epochs'" in err
+
+    @pytest.mark.parametrize("doc", [{"rot_deg_max": float("inf")}, {"rot_deg_max": 1e308},
+                                     {"jitter_high": float("inf")}, {"lr": float("nan")}],
+                             ids=["rot_deg_max_inf", "rot_deg_max_1e308", "jitter_high_inf",
+                                  "lr_nan"])
+    def test_train_config_number_out_of_range(self, dataset, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(cfg), "--data", str(dataset), "--epochs", "1",
+                   "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert next(iter(doc)) in self._error_line(capsys)
 
 
 def test_gradcheck_smoke_runs_quick_suites(capsys):

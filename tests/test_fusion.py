@@ -1,30 +1,23 @@
-"""Cloud lifting, softmax aggregation and its closed-form adjoint, the
-3D/2D metrics, and the 2D-domain baseline fusion."""
+"""The softmax-centre kernel and its tape node's adjoint, the view
+clouds, the 3D/2D distance metrics, and the 2D-domain baseline fusion."""
 
 import numpy as np
 import pytest
 
+from posefusion import pipeline as P
 from posefusion import tensorgrad as tg
 from posefusion.fusion import (
     JOINT_NAMES,
-    CloudUnresolvableError,
     FusionError,
-    MetricUndefinedError,
     Pose2,
     Pose3,
-    WeightedCloud,
-    aggregate,
-    aggregate_adjoint,
-    com_2d,
     lift_and_fuse_2d,
-    lift_heatmaps,
-    loss_2d,
-    mpjpe_3d,
-    pixel_coordinates,
+    pose_distances,
     soft_center,
     soft_center_stack,
+    view_cloud_coords,
 )
-from posefusion.geometry import Camera, Point3, RigidTransform
+from posefusion.geometry import Camera, Point3, RigidTransform, backproject_grid
 from posefusion.heatmap import BoundingBox, DepthImage, Heatmap, MaskConfig, mask_heatmap
 
 EPS = MaskConfig().epsilon
@@ -36,35 +29,44 @@ def _pose(person, **overrides):
     return Pose3(person=person, joints=joints)
 
 
-def _cloud(coords, acts, valid=None):
-    coords = np.asarray(coords, dtype=np.float64)
-    acts = np.asarray(acts, dtype=np.float64)
-    if valid is None:
-        valid = acts != EPS
-    return WeightedCloud(person=0, joint=0, coords=coords, activations=acts,
-                         valid=np.asarray(valid, dtype=bool),
-                         view_slices=((0, 0, len(acts)),))
+def _soft_center_vjp(acts_per_view, coords_per_view, g):
+    """The soft_center_3d node's gradients, one per view, for upstream g."""
+    tape = tg.Tape()
+    tensors = [tg.Tensor(a, requires_grad=True) for a in acts_per_view]
+    soft_center_stack(tape, tensors, coords_per_view)
+    return tape._nodes[0].vjp(g)
 
 
 class TestAggregate:
+    """Hand values and invariants of the softmax centre of mass."""
+
     def test_single_surviving_point_is_returned_exactly(self):
-        c = _cloud([[0.1, 0.2, 0.3], [9.0, 9.0, 9.0]], [5.0, EPS])
-        p = aggregate(c)
-        np.testing.assert_allclose([p.x, p.y, p.z], [0.1, 0.2, 0.3], atol=1e-12)
+        center, _ = soft_center(np.array([5.0, EPS]), np.array([[0.1, 0.2, 0.3], [9.0, 9.0, 9.0]]))
+        np.testing.assert_allclose(center, [0.1, 0.2, 0.3], atol=1e-12)
 
     def test_equal_activations_give_midpoint(self):
-        c = _cloud([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]], [0.7, 0.7])
-        assert aggregate(c).z == pytest.approx(2.0, abs=1e-12)
+        center, w = soft_center(np.array([0.7, 0.7]), np.array([[0, 0, 1.0], [0, 0, 3.0]]))
+        np.testing.assert_array_equal(w, [0.5, 0.5])
+        assert center[2] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_softmax_three_collinear_points(self):
         # softmax(0, ln2, 0) = (1,2,1)/4 -> z = (1 + 4 + 3)/4 = 2.0
-        c = _cloud([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0]], [0.0, np.log(2.0), 0.0])
-        assert aggregate(c).z == pytest.approx(2.0, abs=1e-12)
+        center, w = soft_center(np.array([0.0, np.log(2.0), 0.0]),
+                                np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0]]))
+        np.testing.assert_allclose(w, [0.25, 0.5, 0.25], atol=1e-15)
+        assert center[2] == pytest.approx(2.0, abs=1e-12)
 
-    def test_all_masked_raises_unresolvable(self):
-        c = _cloud([[0, 0, 1.0], [0, 0, 2.0]], [EPS, EPS])
-        with pytest.raises(CloudUnresolvableError):
-            aggregate(c)
+    def test_batched_rows_equal_single_rows(self, rng):
+        # the (J, I) form fuses each row as the 1-D form does: the weights
+        # bitwise, the centres up to the matrix product's summation order
+        coords = rng.normal(size=(50, 3))
+        acts = rng.uniform(-20, 20, size=(4, 50))
+        centers, w = soft_center(acts, coords)
+        assert centers.shape == (4, 3) and w.shape == (4, 50)
+        for j in range(4):
+            cj, wj = soft_center(acts[j], coords)
+            np.testing.assert_array_equal(w[j], wj)
+            np.testing.assert_allclose(centers[j], cj, rtol=1e-14, atol=1e-14)
 
     def test_prediction_in_convex_hull_of_valid_points(self, rng):
         for _ in range(50):
@@ -104,57 +106,57 @@ class TestAggregate:
 
 
 class TestAggregateAdjoint:
+    """The adjoint of the soft_center_3d node, over one or two views:
+    dL/dh_i = a_i * <g, c_i - p> per joint row."""
+
     def test_gradients_sum_to_zero(self, rng):
         for _ in range(20):
-            coords = rng.normal(size=(15, 3))
-            acts = rng.uniform(-3, 3, size=15)
-            g = rng.normal(size=3)
-            adj = aggregate_adjoint(acts, coords, g)
-            assert abs(adj.sum()) < 1e-9
+            coords = [rng.normal(size=(9, 3)), rng.normal(size=(6, 3))]
+            acts = [rng.uniform(-3, 3, size=(2, 9)), rng.uniform(-3, 3, size=(2, 6))]
+            grads = _soft_center_vjp(acts, coords, rng.normal(size=(2, 3)))
+            assert [g.shape for g in grads] == [(2, 9), (2, 6)]
+            np.testing.assert_allclose(grads[0].sum(axis=1) + grads[1].sum(axis=1), 0.0,
+                                       atol=1e-9)
 
     def test_orthogonal_upstream_gives_zero(self):
         # uniform activations, all points on a line, upstream orthogonal
         coords = np.array([[float(i), 0.0, 0.0] for i in range(5)])
-        adj = aggregate_adjoint(np.zeros(5), coords, np.array([0.0, 1.0, 0.0]))
+        (adj,) = _soft_center_vjp([np.zeros((1, 5))], [coords], np.array([[0.0, 1.0, 0.0]]))
         np.testing.assert_allclose(adj, 0.0, atol=1e-15)
 
     def test_closed_form_matches_fd_on_random_cloud(self, rng):
-        coords = rng.normal(size=(12, 3))
-        acts = rng.uniform(-2, 2, size=12)
-        g = rng.normal(size=3)
-        adj = aggregate_adjoint(acts, coords, g)
+        coords = [rng.normal(size=(7, 3)), rng.normal(size=(5, 3))]
+        acts = [rng.uniform(-2, 2, size=(2, 7)), rng.uniform(-2, 2, size=(2, 5))]
+        g = rng.normal(size=(2, 3))
+        adj = np.concatenate(_soft_center_vjp(acts, coords, g), axis=1)
+        flat, cloud = np.concatenate(acts, axis=1), np.concatenate(coords)
         step = 1e-6
-        for k in range(12):
-            bumped = acts.copy()
-            bumped[k] += step
-            hi, _ = soft_center(bumped, coords)
-            bumped[k] -= 2 * step
-            lo, _ = soft_center(bumped, coords)
-            fd = float((hi - lo) @ g) / (2 * step)
-            assert abs(adj[k] - fd) / max(1.0, abs(adj[k])) < 1e-6
+        for j in range(2):
+            for k in range(12):
+                bumped = flat[j].copy()
+                bumped[k] += step
+                hi, _ = soft_center(bumped, cloud)
+                bumped[k] -= 2 * step
+                lo, _ = soft_center(bumped, cloud)
+                fd = float((hi - lo) @ g[j]) / (2 * step)
+                assert abs(adj[j, k] - fd) / max(1.0, abs(adj[j, k])) < 1e-6
 
     def test_fused_node_matches_composed_softmax_chain(self, rng):
+        # the chain rule through softmax (Jacobian diag(a) - a a^T) and the
+        # weighted sum of coordinates (Jacobian coords^T), as dense matrices
         coords = rng.normal(size=(9, 3))
         acts = rng.uniform(-2, 2, size=9)
         g = rng.normal(size=3)
-
-        tape = tg.Tape()
-        t = tg.Tensor(acts.reshape(1, 3, 3), requires_grad=True)
-        centers = soft_center_stack(tape, [t], [coords])
-        loss = tg.mean(tape, tg.multiply(tape, centers, tg.Tensor(g[None, :] * 3)))
-        fused_grad = tg.backward(tape, loss)[t].ravel()
-
-        tape2 = tg.Tape()
-        v = tg.Tensor(acts, requires_grad=True)
-        s = tg.softmax_over_set(tape2, v)
-        w = tg.weighted_sum(tape2, coords, s)
-        loss2 = tg.mean(tape2, tg.multiply(tape2, w, tg.Tensor(g * 3)))
-        composed_grad = tg.backward(tape2, loss2)[v]
-
-        np.testing.assert_allclose(fused_grad, composed_grad, atol=1e-12)
+        (fused,) = _soft_center_vjp([acts.reshape(1, 3, 3)], [coords], g[None, :])
+        _, a = soft_center(acts, coords)
+        composed = (np.diag(a) - np.outer(a, a)) @ (coords @ g)
+        np.testing.assert_allclose(fused.ravel(), composed, atol=1e-12)
 
 
 class TestLiftHeatmaps:
+    """Each view's shared-frame cloud, the positions the 3D soft centre
+    weighs."""
+
     def _setup(self):
         cam0 = Camera(id=0, fx=10.0, fy=10.0, cx=1.0, cy=1.0)
         depth = DepthImage(view=0, raster=np.full((3, 3), 2.0))
@@ -163,156 +165,129 @@ class TestLiftHeatmaps:
     def test_single_pixel_view_at_principal_point(self):
         cam = Camera(id=0, fx=5.0, fy=5.0, cx=0.0, cy=0.0)
         depth = DepthImage(view=0, raster=np.array([[1.7]]))
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=1, y_max=1)
-        hm = mask_heatmap(Heatmap(view=0, joint=0, raster=np.array([[4.0]])), box, depth)
-        cloud = lift_heatmaps([hm], [depth], [cam])
-        assert cloud.coords.shape == (1, 3)
-        np.testing.assert_allclose(cloud.coords[0], [0.0, 0.0, 1.7], atol=1e-12)
-        p = aggregate(cloud)
-        np.testing.assert_allclose([p.x, p.y, p.z], [0.0, 0.0, 1.7], atol=1e-12)
+        cloud = view_cloud_coords(depth, cam)
+        assert cloud.shape == (1, 3)
+        np.testing.assert_allclose(cloud[0], [0.0, 0.0, 1.7], atol=1e-12)
+        center, _ = soft_center(np.array([[4.0]]), cloud)
+        np.testing.assert_allclose(center[0], [0.0, 0.0, 1.7], atol=1e-12)
 
-    def test_identity_camera_coordinates_equal_backprojections(self, rng):
+    def test_identity_camera_coordinates_equal_backprojections(self):
         cam, depth = self._setup()
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=3, y_max=3)
-        hm = mask_heatmap(Heatmap(view=0, joint=2, raster=rng.normal(size=(3, 3))), box, depth)
-        cloud = lift_heatmaps([hm], [depth], [cam])
-        from posefusion.geometry import backproject_grid
-        np.testing.assert_allclose(cloud.coords, backproject_grid(depth.raster, cam), atol=1e-15)
-        assert cloud.joint == 2
-        assert cloud.activations.size == 9
+        np.testing.assert_allclose(view_cloud_coords(depth, cam),
+                                   backproject_grid(depth.raster, cam), atol=1e-15)
 
     def test_cloud_size_is_sum_over_views(self, rng):
+        # a second view offset by to_reference: its cloud is the first
+        # one shifted; fusing both spans 18 entries, split back per view
         cam, depth = self._setup()
         cam1 = Camera(id=1, fx=10.0, fy=10.0, cx=1.0, cy=1.0,
                       to_reference=RigidTransform.from_rotation_translation(np.eye(3), [0.1, 0, 0]))
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=3, y_max=3)
-        hms = [mask_heatmap(Heatmap(view=v, joint=0, raster=rng.normal(size=(3, 3))), box, depth)
-               for v in (0, 1)]
-        cloud = lift_heatmaps(hms, [depth, depth], [cam, cam1])
-        assert cloud.activations.size == 18
-        assert cloud.view_slices == ((0, 0, 9), (1, 9, 18))
-
-    def test_unmasked_heatmap_rejected(self):
-        cam, depth = self._setup()
-        raw = Heatmap(view=0, joint=0, raster=np.zeros((3, 3)))
-        with pytest.raises(FusionError, match="masked"):
-            lift_heatmaps([raw], [depth], [cam])
-
-    def test_missing_depth_rejected(self):
-        cam, depth = self._setup()
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=3, y_max=3)
-        hm = mask_heatmap(Heatmap(view=0, joint=0, raster=np.zeros((3, 3))), box, depth)
-        with pytest.raises(FusionError, match="depth"):
-            lift_heatmaps([hm], [None], [cam])
+        clouds = [view_cloud_coords(depth, cam), view_cloud_coords(depth, cam1)]
+        np.testing.assert_allclose(clouds[1] - clouds[0], np.tile([0.1, 0, 0], (9, 1)), atol=1e-15)
+        acts = [rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 3))]
+        grads = _soft_center_vjp(acts, clouds, rng.normal(size=(2, 3)))
+        assert [g.shape for g in grads] == [(2, 3, 3), (2, 3, 3)]
 
 
 class TestMpjpe:
+    """pose_distances, the per-joint distances evaluation scores."""
+
     def test_exact_match_is_zero(self):
         a = _pose(0, head=Point3(1, 2, 3))
-        assert mpjpe_3d([a], [a]) == 0.0
+        assert pose_distances([a], [a]) == {(0, "head"): 0.0}
 
     def test_3_4_5_triangle_in_cm(self):
         pred = _pose(0, head=Point3(0.03, 0.04, 0.0))
         ref = _pose(0, head=Point3(0.0, 0.0, 0.0))
-        assert mpjpe_3d([pred], [ref]) == pytest.approx(5.0, abs=1e-12)
+        assert pose_distances([pred], [ref])[(0, "head")] * 100 == pytest.approx(5.0, abs=1e-12)
 
     def test_mean_over_persons_and_joints(self):
-        # distances 1, 2, 3, 4 cm -> mean 2.5 cm
+        # distances 1, 2, 3, 4 cm, keyed by person and joint
         pred = [
             _pose(0, head=Point3(0.01, 0, 0), neck=Point3(0, 0.02, 0)),
             _pose(1, head=Point3(0, 0, 0.03), neck=Point3(0.04, 0, 0)),
+            _pose(2, head=Point3(9, 9, 9)),  # no reference: not scored
         ]
         ref = [
             _pose(0, head=Point3(0, 0, 0), neck=Point3(0, 0, 0)),
             _pose(1, head=Point3(0, 0, 0), neck=Point3(0, 0, 0)),
         ]
-        assert mpjpe_3d(pred, ref) == pytest.approx(2.5, abs=1e-12)
+        d = pose_distances(pred, ref)
+        assert sorted(d) == [(0, "head"), (0, "neck"), (1, "head"), (1, "neck")]
+        np.testing.assert_allclose([d[k] for k in sorted(d)], [0.01, 0.02, 0.03, 0.04], atol=1e-15)
+        assert np.mean(list(d.values())) * 100 == pytest.approx(2.5, abs=1e-12)
 
     def test_only_jointly_present_joints_scored(self):
         pred = _pose(0, head=Point3(0.01, 0, 0), neck=Point3(5, 5, 5))
         ref = _pose(0, head=Point3(0, 0, 0))  # neck absent in reference
-        assert mpjpe_3d([pred], [ref]) == pytest.approx(1.0, abs=1e-12)
+        assert pose_distances([pred], [ref]) == {(0, "head"): pytest.approx(0.01, abs=1e-15)}
 
     def test_zero_scorable_joints_is_undefined(self):
-        with pytest.raises(MetricUndefinedError):
-            mpjpe_3d([_pose(0)], [_pose(0, head=Point3(0, 0, 0))])
+        assert pose_distances([_pose(0)], [_pose(0, head=Point3(0, 0, 0))]) == {}
 
 
 class TestCom2d:
-    def _masked(self, raster, box=None, depth_value=2.0):
+    """The per-view 2D soft centre the baseline scores: the pixel
+    coordinates weighted by the softmax of the view's fused pixels."""
+
+    @staticmethod
+    def _centre(raster, box=None):
         h, w = raster.shape
         box = box or BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=w, y_max=h)
-        depth = DepthImage(view=0, raster=np.full((h, w), depth_value))
-        return mask_heatmap(Heatmap(view=0, joint=0, raster=raster), box, depth)
+        valid = box.mask(h, w)
+        rows = np.flatnonzero(valid)
+        f = P.ViewForward(0, tg.Tensor(np.tile(raster.ravel()[rows], (len(JOINT_NAMES), 1))),
+                          rows, valid, np.zeros((h * w, 3)))
+        return tuple(P._view_centers_2d(None, f).values[0])
 
     def test_single_survivor_returns_its_coordinates(self):
-        raster = np.zeros((4, 6))
         box = BoundingBox(view=0, person=0, x_min=2, y_min=1, x_max=3, y_max=2)
-        pos = com_2d(self._masked(raster, box))
-        assert pos == (2.0, 1.0)
+        assert self._centre(np.zeros((4, 6)), box) == (2.0, 1.0)
 
     def test_two_equal_pixels_give_midpoint(self):
         raster = np.full((4, 6), EPS)
         raster[1, 1] = 3.0
         raster[1, 3] = 3.0
-        pos = com_2d(self._masked(raster))
+        pos = self._centre(raster)
         assert pos[0] == pytest.approx(2.0, abs=1e-9)
         assert pos[1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_all_masked_is_absent(self):
-        raster = np.zeros((2, 2))
-        depth = DepthImage(view=0, raster=np.zeros((2, 2)))  # all unknown
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=2, y_max=2)
-        hm = mask_heatmap(Heatmap(view=0, joint=0, raster=raster), box, depth)
-        assert com_2d(hm) is None
-
     def test_consistency_with_3d_aggregate_at_unit_depth(self, rng):
         # identity-intrinsics camera at unit depth: x3d = x2d - cx, so the
-        # 2D centre of mass must equal the projected 3D aggregate
+        # 2D centre of mass must equal the projected 3D soft centre
         h, w = 5, 7
         cam = Camera(id=0, fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         depth = DepthImage(view=0, raster=np.ones((h, w)))
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=w, y_max=h)
-        hm = mask_heatmap(Heatmap(view=0, joint=0, raster=rng.normal(size=(h, w))), box, depth)
-        cloud = lift_heatmaps([hm], [depth], [cam])
-        p3 = aggregate(cloud)
-        pos = com_2d(hm)
-        assert pos[0] == pytest.approx(p3.x, abs=1e-9)
-        assert pos[1] == pytest.approx(p3.y, abs=1e-9)
+        raster = rng.normal(size=(h, w))
+        p3, _ = soft_center(raster.ravel(), view_cloud_coords(depth, cam))
+        pos = self._centre(raster)
+        assert pos[0] == pytest.approx(p3[0], abs=1e-9)
+        assert pos[1] == pytest.approx(p3[1], abs=1e-9)
 
 
 class TestLoss2d:
-    def _pose2(self, person, view, **overrides):
-        joints = {name: None for name in JOINT_NAMES}
-        joints.update(overrides)
-        return Pose2(person=person, view=view, joints=joints)
+    """The loss node _mean_distance on 2D centres, by hand."""
+
+    @staticmethod
+    def _loss(preds, refs):
+        out = P._mean_distance(None, [tg.Tensor(p) for p in preds], refs)
+        return None if out is None else out.item()
 
     def test_exact_match_zero(self):
-        a = self._pose2(0, 0, head=(3.0, 4.0))
-        assert loss_2d([a], [a]) == 0.0
+        assert self._loss([[[3.0, 4.0]]], [{0: np.array([3.0, 4.0])}]) == 0.0
 
     def test_3_4_5_pixels(self):
-        pred = self._pose2(0, 0, head=(3.0, 4.0))
-        ref = self._pose2(0, 0, head=(0.0, 0.0))
-        assert loss_2d([pred], [ref]) == pytest.approx(5.0, abs=1e-12)
+        assert self._loss([[[3.0, 4.0]]], [{0: np.zeros(2)}]) == pytest.approx(5.0, abs=1e-12)
 
     def test_multi_view_mean_by_hand(self):
-        # view 0: dists 1 and 2; view 1: dists 3 and 4 -> mean 2.5
-        pred = [
-            self._pose2(0, 0, head=(1.0, 0.0), neck=(0.0, 2.0)),
-            self._pose2(0, 1, head=(3.0, 0.0), neck=(0.0, 4.0)),
-        ]
-        ref = [
-            self._pose2(0, 0, head=(0.0, 0.0), neck=(0.0, 0.0)),
-            self._pose2(0, 1, head=(0.0, 0.0), neck=(0.0, 0.0)),
-        ]
-        assert loss_2d(pred, ref) == pytest.approx(2.5, abs=1e-12)
+        # view 0: dists 1 and 2; view 1: dists 3 and 4 -> mean 2.5; the
+        # row without a target is not scored
+        preds = [[[1.0, 0.0], [0.0, 2.0], [50.0, 50.0]], [[3.0, 0.0], [0.0, 4.0]]]
+        refs = [{0: np.zeros(2), 1: np.zeros(2)}, {0: np.zeros(2), 1: np.zeros(2)}]
+        assert self._loss(preds, refs) == pytest.approx(2.5, abs=1e-12)
 
     def test_undefined_without_common_joints(self):
-        pred = self._pose2(0, 0, head=(1.0, 1.0))
-        ref = self._pose2(0, 0, neck=(0.0, 0.0))
-        with pytest.raises(MetricUndefinedError):
-            loss_2d([pred], [ref])
+        assert self._loss([[[1.0, 1.0]]], [{}]) is None
 
 
 class TestLiftAndFuse2d:
@@ -382,12 +357,11 @@ class TestHeatmapToMetricChain:
     def test_fd_through_mask_fusion_and_metric(self):
         # the whole differentiable path from raw heatmap values to the mean
         # 3D joint distance, on a 3-view 16x20 scene; gradient flows through
-        # masking, multi-view softmax fusion, and the distance accumulation
+        # masking, multi-view softmax fusion, and the loss node
         from posefusion.data import generate_synthetic, make_target_heatmaps
         from posefusion.gradcheck import tiny_synth_config
-        from posefusion.fusion import view_cloud_coords
         from posefusion.heatmap import valid_pixel_mask
-        from posefusion.tensorgrad import Tape, Tensor, finite_difference_check
+        from posefusion.tensorgrad import Tensor, finite_difference_check
 
         scenes, _ = generate_synthetic(tiny_synth_config(1))
         scene = scenes[0]
@@ -396,7 +370,7 @@ class TestHeatmapToMetricChain:
         fixed = {v: make_target_heatmaps(scene, v, person, sigma=1.5, amplitude=2.0)
                  for v in support}
         gt = scene.gt_pose3(person)
-        eps = MaskConfig().epsilon
+        targets = {j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)}
 
         def fn(tape, var):
             tensors, coords = [], []
@@ -406,28 +380,23 @@ class TestHeatmapToMetricChain:
                 mask01 = np.broadcast_to(valid, (len(JOINT_NAMES),) + valid.shape)
                 raw = var if v == support[0] else Tensor(fixed[v])
                 gated = tg.multiply(tape, raw, Tensor(mask01.astype(float)))
-                masked = tg.add(tape, gated, Tensor((1.0 - mask01) * eps))
+                masked = tg.add(tape, gated, Tensor((1.0 - mask01) * EPS))
                 tensors.append(masked)
                 coords.append(view_cloud_coords(sv.depth, sv.camera))
-            from posefusion.pipeline import _select_row
             centers = soft_center_stack(tape, tensors, coords)
-            total, count = None, 0
-            for j, name in enumerate(JOINT_NAMES):
-                row = _select_row(tape, centers, j)
-                diff = tg.subtract(tape, row, Tensor(gt.joints[name].as_array()))
-                dist = tg.euclidean_norm(tape, diff)
-                total = dist if total is None else tg.add(tape, total, dist)
-                count += 1
-            return tg.scalar_divide(tape, total, float(count))
+            return P._mean_distance(tape, [centers], [targets])
 
         err = finite_difference_check(fn, Tensor(fixed[support[0]]), 1e-6)
         assert err < 1e-5
 
 
 def test_pixel_coordinates_layout():
-    pc = pixel_coordinates(2, 3)
+    # the (x, y) pixel coordinates of a view's fused pixels, row-major
+    valid = np.ones((2, 3), dtype=bool)
+    f = P.ViewForward(0, tg.Tensor(np.zeros((1, 6))), np.flatnonzero(valid), valid,
+                      np.zeros((6, 3)))
     np.testing.assert_array_equal(
-        pc, [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        f.pixels, [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
     )
 
 

@@ -17,7 +17,6 @@ from posefusion.data import SynthConfig, generate_synthetic
 from posefusion.fusion import (
     JOINT_NAMES,
     _multi_view_soft_centers,
-    pixel_coordinates,
     soft_center_stack,
     view_cloud_coords,
 )
@@ -317,9 +316,9 @@ class TestSparseFusion:
         out = []
         for f in forwards:
             if dense:
-                h, w = f.valid.shape
-                out.append(_multi_view_soft_centers(tape, [_eps_raster(tape, f)],
-                                                    [pixel_coordinates(h, w)],
+                ys, xs = np.indices(f.valid.shape)
+                grid = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+                out.append(_multi_view_soft_centers(tape, [_eps_raster(tape, f)], [grid],
                                                     "soft_center_2d"))
             else:
                 out.append(P._view_centers_2d(tape, f))
@@ -420,6 +419,30 @@ class TestTraining:
         calls["pose3"] = calls["pose2"] = 0
         train(TrainConfig(mode="proposed-3d", epochs=1, seed=0), train_s)
         assert calls["pose2"] == 0 and calls["pose3"] > 0
+
+    def test_tape_node_kinds_are_covered_by_gradcheck(self, tiny_scenes, monkeypatch):
+        # one train step per mode records exactly these node kinds, and
+        # gradcheck's quick suites record every one of them
+        from posefusion import gradcheck as GC
+        names = set()
+        record = Tape.record
+
+        def spy(self, inputs, output, vjp, name="custom"):
+            names.add(name)
+            return record(self, inputs, output, vjp, name)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        train_s, _ = tiny_scenes
+        for mode in TrainConfig.MODES:
+            train(TrainConfig(mode=mode, epochs=1, seed=0), train_s[:1])
+        program = set(names)
+        assert program == {"conv2d", "relu", "invert_augmentation",
+                           "soft_center_3d", "soft_center_2d", "mean_distance"}
+        names.clear()
+        GC.op_gradient_errors(0)
+        GC.aggregate_adjoint_error(0)
+        GC.augment_adjoint_error(0)
+        assert program <= names, program - names
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(PipelineError, match="empty"):

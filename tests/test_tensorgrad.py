@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from posefusion import tensorgrad as tg
+from posefusion.fusion import soft_center_stack
 from posefusion.gradcheck import op_gradient_errors
 from posefusion.tensorgrad import (
     AdamState,
@@ -27,22 +28,6 @@ class TestForwardSemantics:
     def test_relu(self):
         out = tg.relu(None, Tensor([-1.5, 0.0, 2.0]))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
-
-    def test_softmax_uniform_on_equal_values(self):
-        out = tg.softmax_over_set(None, Tensor([0.0, 0.0, 0.0]),
-                                  np.array([True, True, True]))
-        np.testing.assert_allclose(out.values, [1 / 3] * 3, atol=1e-15)
-
-    def test_softmax_sums_to_one(self, rng):
-        for _ in range(20):
-            v = Tensor(rng.uniform(-50, 50, size=17))
-            out = tg.softmax_over_set(None, v)
-            assert abs(out.values.sum() - 1.0) < 1e-12
-            assert np.all(out.values >= 0)
-
-    def test_softmax_rejects_fully_invalid_mask(self):
-        with pytest.raises(TensorGradError, match="no valid entries"):
-            tg.softmax_over_set(None, Tensor([1.0, 2.0]), np.array([False, False]))
 
     def test_conv2d_delta_input_reproduces_flipped_kernel(self, rng):
         # cross-correlation: a unit impulse paints the kernel rotated 180deg
@@ -97,11 +82,6 @@ class TestForwardSemantics:
                                        atol=1e-13 * np.abs(dense.T @ g.ravel()).max(),
                                        err_msg=str(pad))
 
-    def test_linear_matches_matmul(self, rng):
-        x, w, b = rng.normal(size=6), rng.normal(size=(4, 6)), rng.normal(size=4)
-        out = tg.linear(None, Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.values, w @ x + b, atol=1e-14)
-
     def test_elementwise_shape_mismatch(self):
         with pytest.raises(ShapeError):
             tg.add(None, Tensor(np.zeros(3)), Tensor(np.zeros(4)))
@@ -111,15 +91,6 @@ class TestForwardSemantics:
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError, match="multiply"):
                 tg.multiply(None, big, big)
-
-    def test_weighted_sum_gradient_is_coords(self, rng):
-        coords = rng.normal(size=(5, 3))
-        w = Tensor(rng.normal(size=5), requires_grad=True)
-        tape = Tape()
-        out = tg.weighted_sum(tape, coords, w)
-        loss = tg.mean(tape, tg.multiply(tape, out, Tensor(np.ones(3) * 3.0)))
-        grads = backward(tape, loss)
-        np.testing.assert_allclose(grads[w], coords.sum(axis=1), atol=1e-12)
 
 
 class TestBackward:
@@ -186,36 +157,35 @@ class TestBackward:
         def run(doubled):
             tape = Tape()
             x = Tensor(v.copy(), requires_grad=True)
-            s = tg.softmax_over_set(tape, x)
-            f = tg.mean(tape, tg.multiply(tape, s, Tensor(np.arange(7.0))))
+            f = tg.euclidean_norm(tape, tg.multiply(tape, x, Tensor(np.arange(7.0))))
             loss = tg.add(tape, f, f) if doubled else f
             return backward(tape, loss)[x]
 
         np.testing.assert_allclose(run(True), 2.0 * run(False), rtol=0, atol=1e-15)
 
     def test_gradient_of_softmax_weighted_sum_matches_fd(self, rng):
+        # a node registered through Tape.record: the fused softmax centre
         coords = rng.normal(size=(9, 3))
-        direction = rng.normal(size=3)
+        direction = rng.normal(size=(1, 3))
 
         def fn(tape, v):
-            s = tg.softmax_over_set(tape, v)
-            w = tg.weighted_sum(tape, coords, s)
+            w = soft_center_stack(tape, [v], [coords])
             return tg.mean(tape, tg.multiply(tape, w, Tensor(direction * 3.0)))
 
-        err = finite_difference_check(fn, Tensor(rng.normal(size=9)), 1e-6)
+        err = finite_difference_check(fn, Tensor(rng.normal(size=(1, 9))), 1e-6)
         assert err < 1e-6
 
 
 class TestFiniteDifferenceOracle:
     def test_quadratic_form(self, rng):
-        a = rng.normal(size=(6, 6))
-        sym = a + a.T
+        # <K v, v> for the linear map K of a bias-free convolution
+        kernel, zero = Tensor(rng.normal(size=(1, 1, 3, 3))), Tensor(np.zeros(1))
 
         def fn(tape, v):
-            av = tg.weighted_sum(tape, sym, v)          # A v
-            return tg.mean(tape, tg.multiply(tape, av, v))
+            kv = tg.conv2d(tape, v, kernel, zero)
+            return tg.mean(tape, tg.multiply(tape, kv, v))
 
-        err = finite_difference_check(fn, Tensor(rng.normal(size=6)), 1e-6)
+        err = finite_difference_check(fn, Tensor(rng.normal(size=(1, 4, 5))), 1e-6)
         assert err < 1e-8
 
     def test_zero_function(self):
