@@ -24,7 +24,7 @@ from .geometry import GeometryError
 _USER_ERRORS = (
     D.SceneFormatError, D.GenerationError, P.PipelineError, M.MatchingError,
     F.FusionError, hm.HeatmapError, GeometryError, AugmentError,
-    tg.TensorGradError, FileNotFoundError, NotADirectoryError,
+    tg.TensorGradError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
 )
 
 
@@ -213,8 +213,6 @@ def _cmd_match(args) -> int:
 
 
 def _read_heatmap_file(path):
-    if os.path.isdir(path):
-        raise D.SceneFormatError(f"{path}: is a directory, not a heatmap file")
     with open(path, "rb") as f:
         header = f.read(12)
         if len(header) != 12:

@@ -469,7 +469,7 @@ class SynthConfig:
         if min(self.image_h, self.image_w, self.views, self.min_persons,
                self.train_scenes + self.test_scenes) <= 0 or self.focal <= 0:
             raise GenerationError("all sizes must be positive")
-        for name in ("train_scenes", "test_scenes"):
+        for name in ("train_scenes", "test_scenes", "seed"):
             if getattr(self, name) < 0:
                 raise GenerationError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.max_persons < self.min_persons:

@@ -6,9 +6,10 @@ all views and the prediction is the weights' centre of mass. One kernel,
 ``soft_center``, computes that centre; ``soft_center_stack`` records it
 on the tape with its adjoint, so the 3D loss backpropagates through it.
 
-Also provides the 2D-domain alternative used as a baseline: depth
-indexing at each view's predicted pixel, and cross-view fusion weighted
-by the heatmap values sampled there.
+Also provides the baseline's 2D-domain fusion, ``lift_and_fuse_2d``: per
+joint, each view contributes the cloud point at its predicted pixel,
+weighted by a softmax over the activations read there; a view whose
+depth is unknown at that pixel is dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Point3, backproject_grid, backproject_pixel, transform_point, transform_points
+from .geometry import Camera, Point3, backproject_grid, transform_points
 from .heatmap import DepthImage
 from .tensorgrad import NonFiniteError, Tape, Tensor
 
@@ -172,46 +173,24 @@ def pose_distances(predicted, reference) -> dict:
     return out
 
 
-def lift_and_fuse_2d(poses2d: list[Pose2], depths: dict, cameras: dict,
-                     heatmaps: dict) -> Pose3 | None:
-    """Fuse one person's per-view 2D joint predictions into 3D.
+def lift_and_fuse_2d(person: int, values: np.ndarray, points: np.ndarray,
+                     known: np.ndarray) -> Pose3 | None:
+    """Fuse one person's per-view 2D joint predictions, lifted to 3D.
 
-    Each 2D position is rounded to its nearest pixel and lifted through
-    the depth image and camera of its view; views whose depth is unknown
-    at that pixel are dropped. The per-view candidates are combined by a
-    softmax over the masked heatmap values sampled at those pixels.
-
-    depths/cameras map view -> DepthImage/Camera; heatmaps maps
-    (view, joint_name) -> masked Heatmap. Returns None if no joint could
-    be lifted in any view.
+    For joint j and view v, ``values[j, v]`` is the activation at the
+    view's predicted pixel, ``points[j, v]`` that pixel's (3,) shared-frame
+    position and ``known[j, v]`` whether its depth is known. Per joint, a
+    softmax over the values of the known views weights their points; a
+    joint known in no view is absent. Returns None if every joint is.
     """
-    if not poses2d:
-        return None
-    person = poses2d[0].person
     fused = {}
-    for name in JOINT_NAMES:
-        candidates, values = [], []
-        for pose in poses2d:
-            pos = pose.joints[name]
-            if pos is None:
-                continue
-            depth_img = depths[pose.view]
-            hm = heatmaps[(pose.view, name)]
-            h, w = depth_img.raster.shape
-            px = min(max(round_half_up(pos[0]), 0), w - 1)
-            py = min(max(round_half_up(pos[1]), 0), h - 1)
-            z = float(depth_img.raster[py, px])
-            if z <= 0.0:
-                continue
-            cam = cameras[pose.view]
-            point = transform_point(backproject_pixel((px, py), z, cam), cam.to_reference)
-            candidates.append(point.as_array())
-            values.append(float(hm.raster[py, px]))
-        if not candidates:
+    for j, name in enumerate(JOINT_NAMES):
+        keep = known[j]
+        if keep.any():
+            center, _ = soft_center(values[j, keep], points[j, keep])
+            fused[name] = Point3(*map(float, center))
+        else:
             fused[name] = None
-            continue
-        center, _ = soft_center(np.asarray(values), np.asarray(candidates))
-        fused[name] = Point3(float(center[0]), float(center[1]), float(center[2]))
     if all(v is None for v in fused.values()):
         return None
     return Pose3(person=person, joints=fused)

@@ -31,7 +31,6 @@ from .data import Scene, load_dataset, make_target_heatmaps, quantization_bound_
 from .fusion import (
     JOINT_NAMES,
     JOINT_TYPES,
-    Pose2,
     Pose3,
     lift_and_fuse_2d,
     pose_distances,
@@ -40,7 +39,7 @@ from .fusion import (
     view_cloud_coords,
 )
 from .geometry import Point3
-from .heatmap import DEFAULT_EPSILON, Heatmap, build_input_tensor, valid_pixel_mask
+from .heatmap import DEFAULT_EPSILON, build_input_tensor, valid_pixel_mask
 from .tensorgrad import AdamState, Tape, Tensor, adam_step, backward
 
 __all__ = [
@@ -267,6 +266,25 @@ def _view_centers_2d(tape: Tape | None, f: ViewForward) -> Tensor:
     return Tensor(np.tile([(w - 1) / 2.0, (h - 1) / 2.0], (J, 1)))
 
 
+def _lift_centers_2d(f: ViewForward, coms: np.ndarray, depth: np.ndarray) -> tuple:
+    """Lift one view's (J, 2) 2D centres, each rounded half up to its
+    nearest pixel and clamped to the image. Returns the (J,) activations
+    at those pixels (ε where the view does not fuse the pixel), their
+    (J, 3) shared-frame positions, and the (J,) flags of known depth
+    there, all False when the view has no valid pixel."""
+    h, w = f.valid.shape
+    pix = (np.clip(np.floor(coms[:, 1] + 0.5), 0, h - 1) * w
+           + np.clip(np.floor(coms[:, 0] + 0.5), 0, w - 1)).astype(np.intp)
+    # f.rows is sorted, so a pixel is fused exactly when it sits at pos
+    pos = np.searchsorted(f.rows, pix)
+    fused = pos < f.rows.size
+    fused[fused] = f.rows[pos[fused]] == pix[fused]
+    values = np.full(J, DEFAULT_EPSILON)
+    values[fused] = f.acts.values[fused, pos[fused]]
+    known = (depth.ravel()[pix] > 0.0) & f.valid.any()
+    return values, f.cloud[pix], known
+
+
 def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | None:
     """Mean Euclidean distance of predicted joints to their targets, as one
     tape node. ``predictions[i]`` is a (J, k) tensor and ``targets[i]``
@@ -368,6 +386,8 @@ class TrainConfig:
             raise PipelineError(f"mode must be one of {self.MODES}, got '{self.mode}'")
         if self.epochs <= 0 or self.lr <= 0:
             raise PipelineError("epochs and lr must be positive")
+        if self.seed < 0:
+            raise PipelineError(f"seed must not be negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc: dict, source: str = "training config") -> "TrainConfig":
@@ -496,27 +516,10 @@ def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
         joints = {name: Point3(*centers[j]) for j, name in enumerate(JOINT_NAMES)}
         return Pose3(person=person, joints=joints)
 
-    poses2d, depths, cameras, heatmaps = [], {}, {}, {}
-    for f in forwards:
-        sv = scene.views[f.view]
-        depths[f.view] = sv.depth
-        cameras[f.view] = sv.camera
-        joints2d = {}
-        if f.valid.any():
-            coms = _view_centers_2d(None, f).values
-            # the predicted pixel may be any pixel, so its value is read
-            # from the ε raster of the view
-            raster = np.full((J, f.valid.size), DEFAULT_EPSILON)
-            raster[:, f.rows] = f.acts.values
-            raster = raster.reshape((J,) + f.valid.shape)
-            for j, name in enumerate(JOINT_NAMES):
-                joints2d[name] = (float(coms[j, 0]), float(coms[j, 1]))
-                heatmaps[(f.view, name)] = Heatmap(view=f.view, joint=j,
-                                                   raster=raster[j], valid=f.valid)
-        else:
-            joints2d = {name: None for name in JOINT_NAMES}
-        poses2d.append(Pose2(person=person, view=f.view, joints=joints2d))
-    return lift_and_fuse_2d(poses2d, depths, cameras, heatmaps)
+    lifted = [_lift_centers_2d(f, _view_centers_2d(None, f).values,
+                               scene.views[f.view].depth.raster) for f in forwards]
+    values, points, known = (np.stack(arrays, axis=1) for arrays in zip(*lifted))
+    return lift_and_fuse_2d(person, values, points, known)
 
 
 @dataclass
@@ -616,18 +619,16 @@ def oracle_fusion_mpjpe(scene: Scene, sigma: float = 1.0,
         support = scene.supporting_views(person)
         if not support:
             continue
-        oracle = {v: make_target_heatmaps(scene, v, person, sigma, amplitude)
-                  for v in support}
-        forwards = forward_scene(None, scene, person, None, None,
-                                 coords_cache=coords_cache, oracle_heatmaps=oracle)
-        if not any(f.valid.any() for f in forwards):
+        pred = _predict_pose3(None, scene, person, "proposed-3d", coords_cache,
+                              (sigma, amplitude))
+        if pred is None:
             continue
-        centers = fused_centers(None, forwards).values
         gt = scene.joints3d[person]
-        for jdx, name in enumerate(JOINT_NAMES):
+        for name in JOINT_NAMES:
             if not any(scene.visibility[(person, v)][name] for v in support):
                 continue
-            dists.append(float(np.linalg.norm(centers[jdx] - gt[name].as_array())))
+            dists.append(float(np.linalg.norm(pred.joints[name].as_array()
+                                              - gt[name].as_array())))
     if not dists:
         raise PipelineError(f"{scene.id}: nothing to score in oracle fusion")
     return float(np.mean(dists)) * 100.0, quantization_bound_cm(scene)

@@ -368,6 +368,45 @@ class TestMalformedInputs:
         assert rc == 1
         assert next(iter(doc)) in self._error_line(capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["synth-gen", "--out", "{tmp}/x", "--seed", "-1", "--image-h", "16", "--image-w", "20"],
+        ["train", "--data", "{data}", "--seed", "-1", "--checkpoint", "{tmp}/m.ckpt"],
+        ["train", "--config", "{cfg}", "--data", "{data}", "--checkpoint", "{tmp}/m.ckpt"],
+    ], ids=["synth_gen_flag", "train_flag", "train_config"])
+    def test_negative_seed(self, dataset, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv = [a.format(tmp=tmp_path, data=dataset, cfg=cfg) for a in command]
+        assert main(argv) == 1
+        assert "seed" in self._error_line(capsys)
+        assert not (tmp_path / "x").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("target", ["checkpoint", "config", "detections", "scene.json",
+                                        "split.json"])
+    def test_input_file_is_a_directory(self, dataset, tmp_path, capsys, target):
+        scene_dir = tmp_path / "ds" / "scenes" / "scene_0000"
+        shutil.copytree(dataset / "scenes", tmp_path / "ds" / "scenes")
+        shutil.copy(dataset / "split.json", tmp_path / "ds" / "split.json")
+        path = {"scene.json": scene_dir / "scene.json",
+                "split.json": tmp_path / "ds" / "split.json"}.get(target, tmp_path / target)
+        if path.exists():
+            path.unlink()
+        path.mkdir()
+        argv = {
+            "checkpoint": ["eval", "--data", str(dataset), "--checkpoint", str(path),
+                           "--report", str(tmp_path / "r.json")],
+            "config": ["train", "--config", str(path), "--data", str(dataset),
+                       "--checkpoint", str(tmp_path / "m.ckpt")],
+            "detections": ["match", "--scene", str(dataset / "scenes" / "scene_0000"),
+                           "--detections", str(path), "--out", str(tmp_path / "o.json")],
+            "scene.json": ["fuse", "--scene", str(scene_dir),
+                           "--out-pose", str(tmp_path / "p.json")],
+            "split.json": ["eval", "--data", str(tmp_path / "ds"), "--oracle",
+                           "--report", str(tmp_path / "r.json")],
+        }[target]
+        assert main(argv) == 1
+        assert str(path) in self._error_line(capsys)
+
 
 def test_gradcheck_smoke_runs_quick_suites(capsys):
     # the full chain suite is exercised by the acceptance tests; here only

@@ -9,15 +9,22 @@ from posefusion import tensorgrad as tg
 from posefusion.fusion import (
     JOINT_NAMES,
     FusionError,
-    Pose2,
     Pose3,
     lift_and_fuse_2d,
     pose_distances,
+    round_half_up,
     soft_center,
     soft_center_stack,
     view_cloud_coords,
 )
-from posefusion.geometry import Camera, Point3, RigidTransform, backproject_grid
+from posefusion.geometry import (
+    Camera,
+    Point3,
+    RigidTransform,
+    backproject_grid,
+    backproject_pixel,
+    transform_point,
+)
 from posefusion.heatmap import BoundingBox, DepthImage, Heatmap, MaskConfig, mask_heatmap
 
 EPS = MaskConfig().epsilon
@@ -290,67 +297,168 @@ class TestLoss2d:
         assert self._loss([[[1.0, 1.0]]], [{}]) is None
 
 
+def _reference_baseline_pose(scene, person, forwards):
+    """The lifting that baseline-2d inference used before it read the fused
+    pixels directly: each view's activations scattered into an ε raster,
+    and each (joint, view) lifted through backproject_pixel and
+    transform_point. {joint name: (3,) array or None}."""
+    per_view = []
+    for f in forwards:
+        if not f.valid.any():
+            continue
+        raster = np.full((len(JOINT_NAMES), f.valid.size), EPS)
+        raster[:, f.rows] = f.acts.values
+        per_view.append((scene.views[f.view], P._view_centers_2d(None, f).values,
+                         raster.reshape((len(JOINT_NAMES),) + f.valid.shape)))
+    fused = {}
+    for j, name in enumerate(JOINT_NAMES):
+        candidates, values = [], []
+        for sv, coms, raster in per_view:
+            h, w = sv.depth.raster.shape
+            px = min(max(round_half_up(coms[j, 0]), 0), w - 1)
+            py = min(max(round_half_up(coms[j, 1]), 0), h - 1)
+            z = float(sv.depth.raster[py, px])
+            if z <= 0.0:
+                continue
+            point = transform_point(backproject_pixel((px, py), z, sv.camera),
+                                    sv.camera.to_reference)
+            candidates.append(point.as_array())
+            values.append(float(raster[j, py, px]))
+        fused[name] = (soft_center(np.asarray(values), np.asarray(candidates))[0]
+                       if candidates else None)
+    return fused
+
+
 class TestLiftAndFuse2d:
-    def _scene(self, depth_rasters):
-        cams = {
-            0: Camera(id=0, fx=10.0, fy=10.0, cx=2.0, cy=2.0),
-            1: Camera(id=1, fx=10.0, fy=10.0, cx=2.0, cy=2.0,
-                      to_reference=RigidTransform.from_rotation_translation(
-                          np.eye(3), [0.5, 0.0, 0.0])),
-        }
-        depths = {v: DepthImage(view=v, raster=np.asarray(r, dtype=np.float64))
-                  for v, r in depth_rasters.items()}
-        return cams, depths
+    """Baseline-2d lifting: each view's 2D centres are read at their
+    nearest pixels (``pipeline._lift_centers_2d``), and per joint the views
+    with known depth there are fused (``lift_and_fuse_2d``)."""
 
-    def _heatmaps(self, views, value=1.0, shape=(5, 5)):
-        out = {}
-        for v in views:
-            for name in JOINT_NAMES:
-                out[(v, name)] = Heatmap(view=v, joint=0,
-                                         raster=np.full(shape, value),
-                                         valid=np.ones(shape, dtype=bool))
-        return out
+    CAMS = (
+        Camera(id=0, fx=10.0, fy=10.0, cx=2.0, cy=2.0),
+        Camera(id=1, fx=10.0, fy=10.0, cx=2.0, cy=2.0,
+               to_reference=RigidTransform.from_rotation_translation(np.eye(3), [0.5, 0.0, 0.0])),
+    )
 
-    def _pose2(self, person, view, **overrides):
-        joints = {name: None for name in JOINT_NAMES}
-        joints.update(overrides)
-        return Pose2(person=person, view=view, joints=joints)
+    def _view(self, v, depth, fused=None, valid=None):
+        """View v's forward over a 5x5 depth raster, with activation 1.0 at
+        the flat pixels ``fused`` (default: every ``valid`` pixel, by
+        default those of known depth)."""
+        depth = np.asarray(depth, dtype=np.float64)
+        valid = depth > 0.0 if valid is None else valid
+        rows = np.flatnonzero(valid) if fused is None else np.asarray(fused, dtype=np.intp)
+        cloud = view_cloud_coords(DepthImage(view=v, raster=depth), self.CAMS[v])
+        acts = tg.Tensor(np.ones((len(JOINT_NAMES), rows.size)))
+        return P.ViewForward(v, acts, rows, valid, cloud), depth
+
+    @staticmethod
+    def _lift(views, head):
+        """Lift every view with the head's 2D centre at ``head`` and the
+        other joints' at pixel (2, 2); the stacked per-view arrays."""
+        coms = np.full((len(JOINT_NAMES), 2), 2.0)
+        coms[0] = head
+        lifted = [P._lift_centers_2d(f, coms, depth) for f, depth in views]
+        return tuple(np.stack(arrays, axis=1) for arrays in zip(*lifted))
+
+    def _head(self, views, head):
+        fused = lift_and_fuse_2d(0, *self._lift(views, head))
+        return None if fused is None else fused.joints["head"]
 
     def test_single_view_returns_lifted_point(self):
-        cams, depths = self._scene({0: np.full((5, 5), 2.0)})
-        pose = self._pose2(0, 0, head=(3.0, 2.0))
-        fused = lift_and_fuse_2d([pose], depths, {0: cams[0]}, self._heatmaps([0]))
-        head = fused.joints["head"]
+        head = self._head([self._view(0, np.full((5, 5), 2.0))], (3.0, 2.0))
         np.testing.assert_allclose([head.x, head.y, head.z], [0.2, 0.0, 2.0], atol=1e-12)
 
     def test_two_views_equal_values_give_midpoint(self):
-        cams, depths = self._scene({0: np.full((5, 5), 2.0), 1: np.full((5, 5), 2.0)})
-        poses = [self._pose2(0, 0, head=(2.0, 2.0)), self._pose2(0, 1, head=(2.0, 2.0))]
-        fused = lift_and_fuse_2d(poses, depths, cams, self._heatmaps([0, 1]))
-        head = fused.joints["head"]
+        views = [self._view(0, np.full((5, 5), 2.0)), self._view(1, np.full((5, 5), 2.0))]
+        head = self._head(views, (2.0, 2.0))
         # view 0 lifts to (0,0,2); view 1 to (0.5,0,2); equal weights -> midpoint
         np.testing.assert_allclose([head.x, head.y, head.z], [0.25, 0.0, 2.0], atol=1e-12)
 
     def test_unknown_depth_drops_view(self):
-        unknown = np.zeros((5, 5))
-        cams, depths = self._scene({0: np.full((5, 5), 2.0), 1: unknown})
-        poses = [self._pose2(0, 0, head=(2.0, 2.0)), self._pose2(0, 1, head=(2.0, 2.0))]
-        fused = lift_and_fuse_2d(poses, depths, cams, self._heatmaps([0, 1]))
-        head = fused.joints["head"]
+        # view 1 fuses every other pixel, but its depth is unknown at the
+        # predicted one
+        hole = np.full((5, 5), 2.0)
+        hole[2, 2] = 0.0
+        views = [self._view(0, np.full((5, 5), 2.0)), self._view(1, hole)]
+        values, points, known = self._lift(views, (2.0, 2.0))
+        np.testing.assert_array_equal(known[0], [True, False])
+        head = lift_and_fuse_2d(0, values, points, known).joints["head"]
         np.testing.assert_allclose([head.x, head.y, head.z], [0.0, 0.0, 2.0], atol=1e-12)
 
     def test_all_views_dropped_gives_absent(self):
-        cams, depths = self._scene({0: np.zeros((5, 5))})
-        pose = self._pose2(0, 0, head=(2.0, 2.0))
-        assert lift_and_fuse_2d([pose], depths, {0: cams[0]}, self._heatmaps([0])) is None
+        # every joint's predicted pixel is (2, 2), where no view knows the depth
+        hole = np.full((5, 5), 2.0)
+        hole[2, 2] = 0.0
+        assert self._head([self._view(0, hole), self._view(1, hole)], (2.0, 2.0)) is None
+
+    def test_view_without_valid_pixels_is_dropped(self):
+        # a box over unknown depth only: the view's 2D centre is the grid
+        # centre, where its depth is known, yet it lifts nothing
+        empty = self._view(1, np.full((5, 5), 2.0), valid=np.zeros((5, 5), dtype=bool))
+        values, points, known = self._lift([empty], (2.0, 2.0))
+        assert not known.any()
+        assert lift_and_fuse_2d(0, values, points, known) is None
+        head = self._head([self._view(0, np.full((5, 5), 2.0)), empty], (2.0, 2.0))
+        np.testing.assert_allclose([head.x, head.y, head.z], [0.0, 0.0, 2.0], atol=1e-12)
 
     def test_rounding_indexes_nearest_pixel(self):
         raster = np.full((5, 5), 2.0)
         raster[2, 3] = 1.0
-        cams, depths = self._scene({0: raster})
-        pose = self._pose2(0, 0, head=(2.6, 2.4))  # rounds to pixel (3, 2)
-        fused = lift_and_fuse_2d([pose], depths, {0: cams[0]}, self._heatmaps([0]))
-        assert fused.joints["head"].z == pytest.approx(1.0)
+        raster[4, 0] = 3.0
+        view = self._view(0, raster)
+        assert self._head([view], (2.6, 2.4)).z == pytest.approx(1.0)  # pixel (3, 2)
+        assert self._head([view], (2.5, 1.5)).z == pytest.approx(1.0)  # halves round up
+        assert self._head([view], (-3.0, 7.0)).z == pytest.approx(3.0)  # clamped to (0, 4)
+
+    def test_pixel_outside_the_fused_pixels_reads_epsilon(self):
+        # view 1 knows the depth everywhere but fuses only pixel 0, so the
+        # predicted pixel reads ε and its weight underflows beside view 0's
+        views = [self._view(0, np.full((5, 5), 2.0)), self._view(1, np.full((5, 5), 2.0), [0])]
+        values, points, known = self._lift(views, (2.0, 2.0))
+        np.testing.assert_array_equal(values[0], [1.0, EPS])
+        np.testing.assert_array_equal(known[0], [True, True])
+        head = lift_and_fuse_2d(0, values, points, known).joints["head"]
+        np.testing.assert_allclose([head.x, head.y, head.z], [0.0, 0.0, 2.0], atol=1e-12)
+        # alone, the ε view still gives its lifted point
+        head = self._head(views[1:], (2.0, 2.0))
+        np.testing.assert_allclose([head.x, head.y, head.z], [0.5, 0.0, 2.0], atol=1e-12)
+
+    def test_matches_the_raster_path_on_occlusion_scenes(self):
+        # the cloud and backproject_pixel + transform_point group their
+        # products differently, so positions agree to a few ulps; the
+        # stated bound is 1e-12 of the reference point's norm
+        from posefusion.data import SynthConfig, generate_synthetic
+
+        _, scenes = generate_synthetic(SynthConfig(train_scenes=0, test_scenes=6, seed=505,
+                                                   occlusion_drop=0.35))
+        checked = 0
+        for scene in scenes:
+            for person in scene.persons():
+                if not scene.supporting_views(person):
+                    continue
+                for seed, oracle_cfg in ((0, None), (1, None), (None, (1.0, 80.0))):
+                    predictor = None if seed is None else P.ToyPredictor.initialise(seed)
+                    pose = P._predict_pose3(predictor, scene, person, "baseline-2d",
+                                            oracle_cfg=oracle_cfg)
+                    if oracle_cfg is None:
+                        forwards = P.forward_scene(predictor, scene, person, None, None)
+                    else:
+                        oracle = {v: P.make_target_heatmaps(scene, v, person, *oracle_cfg)
+                                  for v in scene.supporting_views(person)}
+                        forwards = P.forward_scene(None, scene, person, None, None,
+                                                   oracle_heatmaps=oracle)
+                    ref = _reference_baseline_pose(scene, person, forwards)
+                    if all(p is None for p in ref.values()):
+                        assert pose is None
+                        continue
+                    for name in JOINT_NAMES:
+                        got = pose.joints[name]
+                        assert (got is None) == (ref[name] is None)
+                        if got is not None:
+                            err = np.linalg.norm(got.as_array() - ref[name])
+                            assert err <= 1e-12 * np.linalg.norm(ref[name])
+                            checked += 1
+        assert checked > 100
 
 
 class TestHeatmapToMetricChain:
