@@ -8,12 +8,9 @@ registers its transpose as the tape adjoint, keeping the chain
 differentiable. Colour jitter touches the input only and needs no
 inverse.
 
-The tape-recorded inverse gives values only at the pixels it is asked
-for that have a pre-image; pixels cropped away or rotated out of frame
-carry no activation and are not fused. The raster form
-``invert_on_heatmap`` gives them the exclusion value, not zero: a zero
-is a live softmax logit inside a person's box and would silently attract
-the fused prediction.
+The inverse gives values only at the pixels it is asked for that have
+a pre-image in the crop; pixels cropped away or rotated out of frame
+carry no activation and are not fused.
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heatmap import DEFAULT_EPSILON, Heatmap, InputTensor
-from .tensorgrad import NonFiniteError, Tape, Tensor
+from .heatmap import InputTensor
+from .tensorgrad import Tape, Tensor, _result
 
 __all__ = [
     "AugmentError",
@@ -36,7 +33,6 @@ __all__ = [
     "apply_geometric",
     "InverseWarp",
     "inverse_warp",
-    "invert_on_heatmap",
     "invert_on_heatmap_tensor",
 ]
 
@@ -350,20 +346,6 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
     return InverseWarp(rows=rows, idx=idx, wts=wts, window=window)
 
 
-def invert_on_heatmap(h: Heatmap, rec: AugmentationRecord,
-                      epsilon: float = DEFAULT_EPSILON) -> Heatmap:
-    """Map a heatmap predicted in the augmented frame back to the original
-    frame. Pixels with no pre-image under the inverse map take epsilon."""
-    r0, c0, ch, cw = rec.crop
-    if h.raster.shape != (ch, cw):
-        raise AugmentError(f"heatmap shape {h.raster.shape} does not match crop {(ch, cw)}")
-    warp = inverse_warp(rec)
-    out = np.full(rec.image_h * rec.image_w, epsilon)
-    out[warp.rows] = warp.gather(h.raster.reshape(1, -1))[0]
-    return Heatmap(view=h.view, joint=h.joint,
-                   raster=out.reshape(rec.image_h, rec.image_w))
-
-
 def invert_on_heatmap_tensor(tape: Tape | None, t: Tensor, rec: AugmentationRecord,
                              warp: InverseWarp | None = None) -> Tensor:
     """Tape-recorded inverse augmentation of a (J, h, w) tensor that holds
@@ -384,9 +366,4 @@ def invert_on_heatmap_tensor(tape: Tape | None, t: Tensor, rec: AugmentationReco
     def vjp(g):
         return (warp.adjoint(g).reshape(t.shape),)
 
-    if not np.all(np.isfinite(out_vals)):
-        raise NonFiniteError("op 'invert_augmentation' produced non-finite values")
-    out = Tensor(out_vals, requires_grad=t.requires_grad)
-    if tape is not None and out.requires_grad:
-        tape.record((t,), out, vjp, "invert_augmentation")
-    return out
+    return _result(tape, (t,), out_vals, vjp, "invert_augmentation")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import JOINT_NAMES, Pose2, Pose3, round_half_up
+from .fusion import JOINT_NAMES, Pose3, round_half_up
 from .geometry import (
     Camera,
     GeometryError,
@@ -113,12 +113,12 @@ class Scene:
         """Ground-truth 3D joints in the shared frame."""
         return Pose3(person=person, joints=dict(self.joints3d[person]))
 
-    def gt_pose2(self, person: int, view: int) -> Pose2:
-        """Ground-truth 2D joints: exact projections, present where visible."""
+    def gt_pose2(self, person: int, view: int) -> dict:
+        """Ground-truth 2D joints in one view, {name: (x, y) | None}: exact
+        projections, present where visible."""
         vis = self.visibility[(person, view)]
         pts = self.joints2d[(person, view)]
-        joints = {name: (pts[name] if vis[name] else None) for name in JOINT_NAMES}
-        return Pose2(person=person, view=view, joints=joints)
+        return {name: (pts[name] if vis[name] else None) for name in JOINT_NAMES}
 
 
 # ---------------------------------------------------------------------------

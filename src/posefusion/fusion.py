@@ -21,14 +21,13 @@ import numpy as np
 
 from .geometry import Camera, Point3, backproject_grid, transform_points
 from .heatmap import DepthImage
-from .tensorgrad import NonFiniteError, Tape, Tensor
+from .tensorgrad import Tape, Tensor, _result
 
 __all__ = [
     "JOINT_NAMES",
     "JOINT_TYPES",
     "FusionError",
     "Pose3",
-    "Pose2",
     "view_cloud_coords",
     "soft_center",
     "soft_center_stack",
@@ -76,19 +75,6 @@ class Pose3:
 
     def present(self):
         return {k: v for k, v in self.joints.items() if v is not None}
-
-
-@dataclass(frozen=True)
-class Pose2:
-    """A person's continuous 2D joint positions in one view; None = absent."""
-
-    person: int
-    view: int
-    joints: dict
-
-    def __post_init__(self):
-        if set(self.joints) != set(JOINT_NAMES):
-            raise FusionError(f"pose joints must be exactly {JOINT_NAMES}")
 
 
 def round_half_up(x: float) -> int:
@@ -139,12 +125,7 @@ def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
             off += n
         return tuple(grads)
 
-    if not np.all(np.isfinite(centers)):
-        raise NonFiniteError(f"op '{name}' produced non-finite values")
-    out = Tensor(centers, requires_grad=any(t.requires_grad for t in tensors))
-    if tape is not None and out.requires_grad:
-        tape.record(tuple(tensors), out, vjp, name)
-    return out
+    return _result(tape, tuple(tensors), centers, vjp, name)
 
 
 def soft_center_stack(tape: Tape | None, tensors: list[Tensor],

@@ -1,9 +1,9 @@
-"""Per-view activation rasters, exclusion masking, and the 5-channel input.
+"""Bounding boxes, depth images, the valid-pixel mask, and the 5-channel
+predictor input.
 
-A person is processed one at a time: activations outside that person's
-bounding box, and activations at pixels whose depth is unknown (stored
-as 0.0), are replaced by a large negative exclusion value so their
-softmax weight underflows to exactly zero downstream.
+A person is processed one at a time. Only that person's valid pixels,
+inside the bounding box and with known depth (unknown depth is stored
+as 0.0), carry activations into fusion; every other pixel is left out.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ import numpy as np
 
 __all__ = [
     "HeatmapError",
-    "Heatmap",
     "BoundingBox",
     "DepthImage",
-    "MaskConfig",
     "InputTensor",
     "valid_pixel_mask",
-    "mask_heatmap",
     "build_input_tensor",
 ]
 
+# What the baseline lifting reads at a pixel its view does not fuse (see
+# pipeline._lift_centers_2d).
 DEFAULT_EPSILON = -1e4
 
 
@@ -87,46 +86,6 @@ class DepthImage:
 
 
 @dataclass(frozen=True)
-class MaskConfig:
-    """Exclusion value for masked pixels.
-
-    The default is low enough that exp(epsilon - max) underflows to exact
-    zero after max subtraction, so masked pixels contribute nothing."""
-
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon >= 0:
-            raise HeatmapError(f"epsilon must be a finite negative value, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class Heatmap:
-    """One joint's activation raster in one view.
-
-    ``valid`` records the masking state: None before masking, otherwise a
-    boolean raster marking pixels that kept their raw activation."""
-
-    view: int
-    joint: int
-    raster: np.ndarray
-    valid: np.ndarray | None = None
-
-    def __post_init__(self):
-        r = np.asarray(self.raster, dtype=np.float64)
-        if r.ndim != 2:
-            raise HeatmapError(f"heatmap raster must be 2-D, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise HeatmapError("heatmap raster contains non-finite values")
-        object.__setattr__(self, "raster", r)
-        if self.valid is not None:
-            v = np.asarray(self.valid, dtype=bool)
-            if v.shape != r.shape:
-                raise HeatmapError(f"valid mask shape {v.shape} != raster shape {r.shape}")
-            object.__setattr__(self, "valid", v)
-
-
-@dataclass(frozen=True)
 class InputTensor:
     """The predictor input: colour(3) + depth(1) + box mask(1), stacked."""
 
@@ -154,19 +113,6 @@ def valid_pixel_mask(box: BoundingBox, depth: DepthImage) -> np.ndarray:
     """Pixels that survive masking: inside the box and with known depth."""
     h, w = depth.raster.shape
     return box.mask(h, w) & depth.known
-
-
-def mask_heatmap(h: Heatmap, box: BoundingBox, d: DepthImage,
-                 cfg: MaskConfig = MaskConfig()) -> Heatmap:
-    """Exclusion-mask a heatmap by bounding box and depth validity.
-
-    Idempotent: re-masking leaves already-excluded pixels at epsilon.
-    """
-    if h.raster.shape != d.raster.shape:
-        raise HeatmapError(f"heatmap shape {h.raster.shape} != depth shape {d.raster.shape}")
-    valid = valid_pixel_mask(box, d)
-    return Heatmap(view=h.view, joint=h.joint, raster=np.where(valid, h.raster, cfg.epsilon),
-                   valid=valid)
 
 
 def build_input_tensor(colour: np.ndarray, depth: DepthImage, box: BoundingBox) -> InputTensor:

@@ -269,9 +269,15 @@ def _view_centers_2d(tape: Tape | None, f: ViewForward) -> Tensor:
 def _lift_centers_2d(f: ViewForward, coms: np.ndarray, depth: np.ndarray) -> tuple:
     """Lift one view's (J, 2) 2D centres, each rounded half up to its
     nearest pixel and clamped to the image. Returns the (J,) activations
-    at those pixels (ε where the view does not fuse the pixel), their
-    (J, 3) shared-frame positions, and the (J,) flags of known depth
-    there, all False when the view has no valid pixel."""
+    at those pixels, their (J, 3) shared-frame positions, and the (J,)
+    flags of known depth there, all False when the view has no valid
+    pixel.
+
+    A pixel the view does not fuse (outside the box, or with no
+    pre-image in the crop) reads the exclusion value ε, low enough that
+    its softmax weight underflows to exactly zero beside any fused
+    activation; a zero would be a live logit and would pull the fused
+    joint towards that view's point."""
     h, w = f.valid.shape
     pix = (np.clip(np.floor(coms[:, 1] + 0.5), 0, h - 1) * w
            + np.clip(np.floor(coms[:, 0] + 0.5), 0, w - 1)).astype(np.intp)
@@ -308,12 +314,7 @@ def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | Non
                 grads[i][j] = scale * diff / n
         return tuple(grads)
 
-    out = Tensor(total / count, requires_grad=any(p.requires_grad for p in predictions))
-    if not np.isfinite(out.values):
-        raise tg.NonFiniteError("op 'mean_distance' produced non-finite values")
-    if tape is not None and out.requires_grad:
-        tape.record(tuple(predictions), out, vjp, "mean_distance")
-    return out
+    return tg._result(tape, tuple(predictions), total / count, vjp, "mean_distance")
 
 
 def _person_loss_3d(tape: Tape, forwards: list, gt: Pose3) -> Tensor | None:
@@ -331,8 +332,8 @@ def _person_loss_2d(tape: Tape, forwards: list, scene: Scene, person: int) -> Te
             continue
         coms.append(_view_centers_2d(tape, f))
         ref = scene.gt_pose2(person, f.view)
-        targets.append({j: np.asarray(ref.joints[name]) for j, name in enumerate(JOINT_NAMES)
-                        if ref.joints[name] is not None})
+        targets.append({j: np.asarray(ref[name]) for j, name in enumerate(JOINT_NAMES)
+                        if ref[name] is not None})
     return _mean_distance(tape, coms, targets)
 
 
@@ -532,11 +533,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        doc = json.loads(text)
-        return EvalReport(**doc)
 
 
 def _type_scores(distances: dict) -> dict:

@@ -6,7 +6,7 @@ forward operations (``conv2d``, ``relu``), a few elementwise ops and
 that records them, a backward pass, an Adam optimizer, a checkpoint
 format, and a finite-difference verification oracle. The fusion chain's
 nodes (inverse warp, soft centres, loss) carry hand-derived adjoints and
-register through ``Tape.record``.
+register through ``_result``, as the ops here do.
 
 Everything is float64. NaN or Inf appearing in an op's output raises
 immediately, naming the op.
@@ -113,6 +113,8 @@ def _check_finite(values: np.ndarray, op: str) -> None:
 
 
 def _result(tape: Tape | None, inputs, values, vjp, name: str) -> Tensor:
+    """The output of op ``name``: checked finite, needing a gradient iff
+    an input does, and then recorded on the tape (if any) with ``vjp``."""
     _check_finite(values, name)
     out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
     if tape is not None and out.requires_grad:

@@ -17,20 +17,15 @@ import pytest
 
 from posefusion import gradcheck as GC
 from posefusion import pipeline as P
-from posefusion.augment import AugmentationRecord, apply_geometric, invert_on_heatmap
+from posefusion.augment import AugmentationRecord, apply_geometric
 from posefusion.cli import main as cli_main
 from posefusion.data import SynthConfig, generate_synthetic
 from posefusion.fusion import soft_center
 from posefusion.geometry import Camera, Point3, backproject_pixel, project_point
-from posefusion.heatmap import (
-    BoundingBox,
-    DepthImage,
-    Heatmap,
-    MaskConfig,
-    mask_heatmap,
-)
+from posefusion.heatmap import DEFAULT_EPSILON, BoundingBox, DepthImage, valid_pixel_mask
 from posefusion.matching import MatchConfig, match_centers
 
+from test_augment import _inverted
 from test_matching import brute_force_match, _as_points, _result_sets
 
 
@@ -134,7 +129,7 @@ class TestCriterion3FusionOracle:
 class TestCriterion4SoftmaxMaskProperties:
     def test_200_random_clouds(self):
         rng = np.random.default_rng(4)
-        eps = MaskConfig().epsilon
+        eps = DEFAULT_EPSILON
         for trial in range(200):
             h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             coords = rng.normal(size=(h * w, 3))
@@ -145,20 +140,21 @@ class TestCriterion4SoftmaxMaskProperties:
             raw_b[depth == 0.0] = rng.uniform(10, 1000, size=int((depth == 0.0).sum()))
             d = DepthImage(view=0, raster=depth)
             box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=w, y_max=h)
-            hm_a = mask_heatmap(Heatmap(view=0, joint=0, raster=raw_a), box, d)
-            hm_b = mask_heatmap(Heatmap(view=0, joint=0, raster=raw_b), box, d)
+            valid = valid_pixel_mask(box, d)
+            masked_a = np.where(valid, raw_a, eps)
+            masked_b = np.where(valid, raw_b, eps)
 
-            center_a, weights = soft_center(hm_a.raster.ravel(), coords)
+            center_a, weights = soft_center(masked_a.ravel(), coords)
             assert abs(weights.sum() - 1.0) < 1e-12
             assert np.all(weights >= 0.0)
 
-            center_b, _ = soft_center(hm_b.raster.ravel(), coords)
+            center_b, _ = soft_center(masked_b.ravel(), coords)
             assert np.max(np.abs(center_a - center_b)) < 1e-9
 
-            shifted, _ = soft_center(hm_a.raster.ravel() + 57.3, coords)
+            shifted, _ = soft_center(masked_a.ravel() + 57.3, coords)
             assert np.max(np.abs(center_a - shifted)) < 1e-9
 
-            masked_weight = weights[~hm_a.valid.ravel()].sum()
+            masked_weight = weights[~valid.ravel()].sum()
             assert masked_weight == 0.0 or masked_weight < np.exp(eps / 2)
         _report("4 (softmax/mask properties)",
                 "200 clouds: weight sum 1e-12, masked-value and shift "
@@ -175,15 +171,20 @@ class TestCriterion5AugmentationInversion:
                                       jitter=(1.0, 1.0, 1.0))
         raster = rng.normal(size=(h, w))
         flipped = apply_geometric(raster, flip_rec)
-        back = invert_on_heatmap(Heatmap(view=0, joint=0, raster=flipped), flip_rec)
-        assert np.array_equal(back.raster, raster), "flip involution not exact"
+        rows, back = _inverted(flipped, flip_rec)
+        assert np.array_equal(rows, np.arange(h * w)), "flip inverse drops pixels"
+        assert np.array_equal(back, raster.ravel()), "flip involution not exact"
 
         crop_rec = AugmentationRecord(image_h=h, image_w=w, flip=False,
                                       crop=(3, 4, 18, 22), rotation_deg=0.0,
                                       jitter=(1.0, 1.0, 1.0))
         cropped = apply_geometric(raster, crop_rec)
-        back = invert_on_heatmap(Heatmap(view=0, joint=0, raster=cropped), crop_rec)
-        assert np.array_equal(back.raster[3:21, 4:26], raster[3:21, 4:26]), \
+        rows, back = _inverted(cropped, crop_rec)
+        retained = np.zeros((h, w), dtype=bool)
+        retained[3:21, 4:26] = True
+        assert np.array_equal(rows, np.flatnonzero(retained)), \
+            "crop inverse does not produce exactly the retained pixels"
+        assert np.array_equal(back, raster.ravel()[rows]), \
             "crop inverse not exact on retained pixels"
 
         ys, xs = np.mgrid[0:h, 0:w]
@@ -194,11 +195,10 @@ class TestCriterion5AugmentationInversion:
                                      crop=(0, 0, h, w), rotation_deg=deg,
                                      jitter=(1.0, 1.0, 1.0))
             rotated = apply_geometric(gauss, rec)
-            back = invert_on_heatmap(Heatmap(view=0, joint=0, raster=rotated), rec).raster
-            interior = back != MaskConfig().epsilon
-            interior[:2] = interior[-2:] = False
-            interior[:, :2] = interior[:, -2:] = False
-            worst = max(worst, float(np.max(np.abs(back - gauss)[interior])))
+            rows, back = _inverted(rotated, rec)
+            row, col = np.divmod(rows, w)
+            interior = (row >= 2) & (row < h - 2) & (col >= 2) & (col < w - 2)
+            worst = max(worst, float(np.max(np.abs(back - gauss.ravel()[rows])[interior])))
         assert worst < 0.05, f"rotation round trip error {worst}"
         _report("5 (augmentation inversion)",
                 f"flip/crop exact; ±15° rotation round trip max abs {worst:.4f}")

@@ -14,14 +14,11 @@ from posefusion.augment import (
     apply_to_input,
     identity_record,
     inverse_warp,
-    invert_on_heatmap,
     invert_on_heatmap_tensor,
     sample_augmentation,
 )
 from posefusion.gradcheck import augment_adjoint_error
-from posefusion.heatmap import Heatmap, InputTensor, MaskConfig
-
-EPS = MaskConfig().epsilon
+from posefusion.heatmap import DEFAULT_EPSILON, InputTensor
 H, W = 16, 20
 
 
@@ -178,6 +175,14 @@ class TestApplyToInput:
                 assert np.array_equal(got, want[:, wr:wr + wh, wc:wc + ww]), (rec, wr, wc)
 
 
+def _inverted(raster, rec):
+    """The inverse augmentation of one augmented raster: the flat
+    original-frame pixels that have a pre-image in the crop, and their
+    values."""
+    rows = inverse_warp(rec).rows
+    return rows, invert_on_heatmap_tensor(None, tg.Tensor(raster[None]), rec).values[0]
+
+
 class TestInvertOnHeatmap:
     def test_flip_involution_is_bit_exact(self, rng):
         raster = rng.normal(size=(H, W))
@@ -185,8 +190,9 @@ class TestInvertOnHeatmap:
                                  crop=(0, 0, H, W), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
         flipped = apply_geometric(raster, rec)
-        back = invert_on_heatmap(Heatmap(view=0, joint=0, raster=flipped), rec)
-        np.testing.assert_array_equal(back.raster, raster)
+        rows, back = _inverted(flipped, rec)
+        np.testing.assert_array_equal(rows, np.arange(H * W))
+        np.testing.assert_array_equal(back, raster.ravel())
 
     def test_crop_inverse_identity_on_retained_pixels(self, rng):
         raster = rng.normal(size=(H, W))
@@ -194,11 +200,12 @@ class TestInvertOnHeatmap:
                                  crop=(2, 3, 12, 16), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
         cropped = apply_geometric(raster, rec)
-        back = invert_on_heatmap(Heatmap(view=0, joint=0, raster=cropped), rec)
-        np.testing.assert_array_equal(back.raster[2:14, 3:19], raster[2:14, 3:19])
-        pad = np.ones((H, W), dtype=bool)
-        pad[2:14, 3:19] = False
-        assert np.all(back.raster[pad] == EPS)
+        rows, back = _inverted(cropped, rec)
+        retained = np.zeros((H, W), dtype=bool)
+        retained[2:14, 3:19] = True
+        # pixels cropped away have no pre-image, so the map leaves them out
+        np.testing.assert_array_equal(rows, np.flatnonzero(retained))
+        np.testing.assert_array_equal(back, raster.ravel()[rows])
 
     def test_rotation_round_trip_on_smooth_gaussian(self):
         for deg in (-15.0, -10.0, 10.0, 15.0):
@@ -207,12 +214,11 @@ class TestInvertOnHeatmap:
                                      crop=(0, 0, H, W), rotation_deg=deg,
                                      jitter=(1.0, 1.0, 1.0))
             rotated = apply_geometric(raster, rec)
-            back = invert_on_heatmap(Heatmap(view=0, joint=0, raster=rotated), rec).raster
-            interior = back != EPS
+            rows, back = _inverted(rotated, rec)
             # exclude pixels whose forward image touched the frame edge
-            interior[:2] = interior[-2:] = False
-            interior[:, :2] = interior[:, -2:] = False
-            assert np.max(np.abs(back - raster)[interior]) < 0.05
+            row, col = np.divmod(rows, W)
+            interior = (row >= 2) & (row < H - 2) & (col >= 2) & (col < W - 2)
+            assert np.max(np.abs(back - raster.ravel()[rows])[interior]) < 0.05
 
     def test_inverse_map_is_linear(self, rng):
         rec = AugmentationRecord(image_h=H, image_w=W, flip=True,
@@ -223,8 +229,7 @@ class TestInvertOnHeatmap:
         alpha, beta = 1.7, -0.6
 
         def inv(r):
-            return invert_on_heatmap(Heatmap(view=0, joint=0, raster=r), rec,
-                                     epsilon=0.0).raster
+            return _inverted(r, rec)[1]
 
         combo = inv(alpha * a + beta * b)
         parts = alpha * inv(a) + beta * inv(b)
@@ -234,36 +239,36 @@ class TestInvertOnHeatmap:
         assert augment_adjoint_error(seed=0) < 1e-6
 
     def test_identity_tensor_path_matches_pure_path(self, rng):
-        # the tape node's (J, n) values are the raster's at the warp's
-        # rows, which are every pixel the raster does not fill with ε; a
-        # warp on a mask's footprint reads a window of the crop and gives
-        # the raster's values at the mask's pixels with a pre-image
+        # a (J, h, w) stack inverts row by row, as J single rasters do;
+        # a warp on a mask's footprint reads a window of the crop and
+        # gives the whole-crop map's values at the mask's pixels with a
+        # pre-image
         rec = AugmentationRecord(image_h=H, image_w=W, flip=True,
                                  crop=(1, 2, 12, 16), rotation_deg=-7.0,
                                  jitter=(1.0, 1.0, 1.0))
         stack = rng.normal(size=(3, 12, 16))
-        pure = np.stack([invert_on_heatmap(Heatmap(view=0, joint=j, raster=stack[j]),
-                                           rec).raster.ravel() for j in range(3)])
         rows = inverse_warp(rec).rows
-        np.testing.assert_array_equal(rows, np.flatnonzero(pure[0] != EPS))
-        out_t = invert_on_heatmap_tensor(None, tg.Tensor(stack), rec)
-        np.testing.assert_array_equal(out_t.values, pure[:, rows])
+        whole = invert_on_heatmap_tensor(None, tg.Tensor(stack), rec).values
+        for j in range(3):
+            np.testing.assert_array_equal(whole[j], _inverted(stack[j], rec)[1])
 
         keep = np.zeros((H, W), dtype=bool)
         keep[3:9, 2:15] = True
         warp = inverse_warp(rec, keep, footprint=True)
         assert np.all(keep.ravel()[warp.rows]) and 0 < warp.rows.size < keep.sum()
+        np.testing.assert_array_equal(warp.rows, rows[keep.ravel()[rows]])
         top, left, wh, ww = warp.window
         out_w = invert_on_heatmap_tensor(
             None, tg.Tensor(stack[:, top:top + wh, left:left + ww]), rec, warp)
-        np.testing.assert_allclose(out_w.values, pure[:, warp.rows], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out_w.values, whole[:, np.searchsorted(rows, warp.rows)],
+                                   rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         rec = AugmentationRecord(image_h=H, image_w=W, flip=False,
                                  crop=(0, 0, 12, 16), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
         with pytest.raises(AugmentError):
-            invert_on_heatmap(Heatmap(view=0, joint=0, raster=np.zeros((H, W))), rec)
+            invert_on_heatmap_tensor(None, tg.Tensor(np.zeros((1, H, W))), rec)
 
 
 class TestPipelineEquivariance:
@@ -290,11 +295,14 @@ class TestPipelineEquivariance:
                     oracle[v] = base
                 else:
                     rec = records[v]
-                    oracle[v] = np.stack([
-                        invert_on_heatmap(Heatmap(view=v, joint=j,
-                                                  raster=apply_geometric(base[j], rec)),
-                                          rec).raster
-                        for j in range(len(JOINT_NAMES))])
+                    augmented = np.stack([apply_geometric(base[j], rec)
+                                          for j in range(len(JOINT_NAMES))])
+                    # pixels with no pre-image carry ε, so fusion gives
+                    # them no weight
+                    back = np.full(base.shape, DEFAULT_EPSILON)
+                    back.reshape(len(JOINT_NAMES), -1)[:, inverse_warp(rec).rows] = \
+                        invert_on_heatmap_tensor(None, tg.Tensor(augmented), rec).values
+                    oracle[v] = back
             fw = P.forward_scene(None, scene, person, None, None, oracle_heatmaps=oracle)
             return P.fused_centers(None, fw).values
 

@@ -25,9 +25,9 @@ from posefusion.geometry import (
     backproject_pixel,
     transform_point,
 )
-from posefusion.heatmap import BoundingBox, DepthImage, Heatmap, MaskConfig, mask_heatmap
+from posefusion.heatmap import DEFAULT_EPSILON, BoundingBox, DepthImage, valid_pixel_mask
 
-EPS = MaskConfig().epsilon
+EPS = DEFAULT_EPSILON
 
 
 def _pose(person, **overrides):
@@ -105,10 +105,9 @@ class TestAggregate:
         d = DepthImage(view=0, raster=depth)
         box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=5, y_max=6)
         raw_b[depth == 0.0] = rng.uniform(50, 100, size=(depth == 0.0).sum())
-        hm_a = mask_heatmap(Heatmap(view=0, joint=0, raster=raw_a), box, d)
-        hm_b = mask_heatmap(Heatmap(view=0, joint=0, raster=raw_b), box, d)
-        a, _ = soft_center(hm_a.raster.ravel(), coords)
-        b, _ = soft_center(hm_b.raster.ravel(), coords)
+        valid = valid_pixel_mask(box, d)
+        a, _ = soft_center(np.where(valid, raw_a, EPS).ravel(), coords)
+        b, _ = soft_center(np.where(valid, raw_b, EPS).ravel(), coords)
         assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -468,7 +467,6 @@ class TestHeatmapToMetricChain:
         # masking, multi-view softmax fusion, and the loss node
         from posefusion.data import generate_synthetic, make_target_heatmaps
         from posefusion.gradcheck import tiny_synth_config
-        from posefusion.heatmap import valid_pixel_mask
         from posefusion.tensorgrad import Tensor, finite_difference_check
 
         scenes, _ = generate_synthetic(tiny_synth_config(1))

@@ -1,82 +1,66 @@
-"""Exclusion masking and the 5-channel input convention."""
+"""The valid-pixel mask and the 5-channel input convention."""
 
 import numpy as np
 import pytest
 
 from posefusion.heatmap import (
+    DEFAULT_EPSILON,
     BoundingBox,
     DepthImage,
-    Heatmap,
     HeatmapError,
     InputTensor,
-    MaskConfig,
     build_input_tensor,
-    mask_heatmap,
     valid_pixel_mask,
 )
 
-EPS = MaskConfig().epsilon
+EPS = DEFAULT_EPSILON
 
 
 def _depth(h=6, w=8, value=2.0):
     return DepthImage(view=0, raster=np.full((h, w), value))
 
 
-def _hm(raster):
-    return Heatmap(view=0, joint=0, raster=raster)
+def _masked(raster, box, depth):
+    """The raster's logits as fusion sees them: ε off the valid pixels."""
+    valid = valid_pixel_mask(box, depth)
+    return np.where(valid, raster, EPS), valid
 
 
 class TestMasking:
     def test_full_box_valid_depth_leaves_heatmap_unchanged(self, rng):
         raster = rng.normal(size=(6, 8))
         box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=8, y_max=6)
-        out = mask_heatmap(_hm(raster), box, _depth())
-        np.testing.assert_array_equal(out.raster, raster)
-        assert out.valid.all()
+        out, valid = _masked(raster, box, _depth())
+        np.testing.assert_array_equal(out, raster)
+        assert valid.all()
 
     def test_unknown_depth_inside_box_becomes_epsilon(self):
         raster = np.ones((6, 8))
         depth = np.full((6, 8), 2.0)
         depth[3, 4] = 0.0  # unknown
         box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=8, y_max=6)
-        out = mask_heatmap(_hm(raster), box, DepthImage(view=0, raster=depth))
-        assert out.raster[3, 4] == EPS
-        assert not out.valid[3, 4]
-        assert out.raster[0, 0] == 1.0
+        out, valid = _masked(raster, box, DepthImage(view=0, raster=depth))
+        assert out[3, 4] == EPS
+        assert not valid[3, 4]
+        assert out[0, 0] == 1.0
 
     def test_unit_area_box_keeps_exactly_one_pixel(self, rng):
         raster = rng.normal(size=(6, 8))
         box = BoundingBox(view=0, person=0, x_min=3, y_min=2, x_max=4, y_max=3)
-        out = mask_heatmap(_hm(raster), box, _depth())
-        assert out.valid.sum() == 1
-        assert out.raster[2, 3] == raster[2, 3]
-        others = np.delete(out.raster.ravel(), 2 * 8 + 3)
+        out, valid = _masked(raster, box, _depth())
+        assert valid.sum() == 1 and valid[2, 3]
+        assert out[2, 3] == raster[2, 3]
+        others = np.delete(out.ravel(), 2 * 8 + 3)
         assert np.all(others == EPS)
-
-    def test_idempotent(self, rng):
-        raster = rng.normal(size=(6, 8))
-        depth = np.full((6, 8), 1.5)
-        depth[1, 1] = 0.0
-        d = DepthImage(view=0, raster=depth)
-        box = BoundingBox(view=0, person=0, x_min=1, y_min=1, x_max=6, y_max=5)
-        once = mask_heatmap(_hm(raster), box, d)
-        twice = mask_heatmap(once, box, d)
-        np.testing.assert_array_equal(once.raster, twice.raster)
-        np.testing.assert_array_equal(once.valid, twice.valid)
 
     def test_survivor_count_is_box_and_depth_intersection(self, rng):
         depth = (rng.random((6, 8)) > 0.3) * 2.0
         d = DepthImage(view=0, raster=depth)
         box = BoundingBox(view=0, person=0, x_min=2, y_min=1, x_max=7, y_max=5)
-        out = mask_heatmap(_hm(rng.normal(size=(6, 8))), box, d)
+        out, valid = _masked(rng.normal(size=(6, 8)), box, d)
         expected = (depth[1:5, 2:7] > 0).sum()
-        assert out.valid.sum() == expected
-        assert (out.raster != EPS).sum() == expected
-
-    def test_shape_mismatch_rejected(self):
-        box = BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=4, y_max=4)
-        with pytest.raises(HeatmapError, match="shape"):
-            mask_heatmap(_hm(np.zeros((5, 5))), box, _depth(6, 8))
+        assert valid.sum() == expected
+        assert (out != EPS).sum() == expected
 
     def test_valid_pixel_mask(self):
         depth = np.full((4, 4), 3.0)
@@ -99,10 +83,6 @@ class TestValidation:
     def test_negative_depth_rejected(self):
         with pytest.raises(HeatmapError):
             DepthImage(view=0, raster=np.array([[-1.0]]))
-
-    def test_epsilon_must_be_negative(self):
-        with pytest.raises(HeatmapError):
-            MaskConfig(epsilon=0.5)
 
 
 class TestInputTensor:
