@@ -246,7 +246,8 @@ def _cmd_fuse(args) -> int:
                     f"{path}: shape {rasters[v].shape} does not match view "
                     f"({len(F.JOINT_NAMES)}, {sv.height}, {sv.width})")
     else:
-        rasters = {v: D.make_target_heatmaps(scene, v, args.person) for v in support}
+        def rasters(view, valid):
+            return D.make_target_heatmaps(scene, view, args.person, mask=valid)
 
     forwards = P.forward_scene(None, scene, args.person, None, None,
                                oracle_heatmaps=rasters)

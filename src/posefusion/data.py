@@ -599,6 +599,28 @@ def _ball_rects(centres_cam: np.ndarray, radii: np.ndarray,
 _EDGE_ENDS = np.array([[JOINT_NAMES.index(a), JOINT_NAMES.index(b)] for a, b in SKELETON_EDGES])
 
 
+def _rect_pixels(rects: np.ndarray, w: int) -> tuple:
+    """Flat pixel indices of half-open rectangles (K, 4) = (row0, row1,
+    col0, col1) in a w-wide image: each rectangle's pixels in row-major
+    order, concatenated in rectangle order, and the (K + 1,) bounds of
+    each rectangle's slice."""
+    n_cols = rects[:, 3] - rects[:, 2]
+    bounds = np.concatenate([[0], np.cumsum((rects[:, 1] - rects[:, 0]) * n_cols)])
+    owner = np.repeat(np.arange(len(rects)), np.diff(bounds))
+    row, col = np.divmod(np.arange(bounds[-1]) - bounds[owner], n_cols[owner])
+    return (rects[owner, 0] + row) * w + rects[owner, 2] + col, bounds
+
+
+def _slice_products(rays: np.ndarray, bounds: np.ndarray, vectors: list) -> np.ndarray:
+    """rays[lo:hi] @ vectors[k] for each primitive k's slice lo:hi. Each
+    product stays on its own slice: one product over every slice may take
+    another BLAS path, with other bits."""
+    out = np.empty(len(rays))
+    for lo, hi, v in zip(bounds[:-1].tolist(), bounds[1:].tolist(), vectors):
+        out[lo:hi] = rays[lo:hi] @ v
+    return out
+
+
 def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
                   rot: np.ndarray, persons_world: list, cfg: SynthConfig) -> np.ndarray:
     """Nearest-intersection z-depth (H, W) of every pixel ray; 0.0 where
@@ -606,64 +628,79 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
     direction (col_dirs[x], row_dirs[y], 1), so the ray parameter equals
     the camera z-depth. Each joint sphere and bone capsule is intersected
     only with the rays of its screen-space rectangle; the floor and the
-    walls with every ray."""
+    walls with every ray.
+
+    The rectangles of every person's spheres are cast as one batch, and
+    those of the capsules as another: the elementwise arithmetic runs
+    once over each batch, and only the (n, 3) @ (3,) products run per
+    primitive, on its slice. The hits fold into the depth buffer with
+    ``np.minimum.at``; a minimum is exact, so the order of the folds does
+    not matter."""
     h, w = row_dirs.size, col_dirs.size
     pixel_dirs = np.stack([np.tile(col_dirs, h), np.repeat(row_dirs, w), np.ones(h * w)], axis=1)
     d = pixel_dirs @ rot.T                       # world-frame directions, (HW, 3)
-    grid = d.reshape(h, w, 3)
     o = eye
     best = np.full(h * w, np.inf)
-    best_grid = best.reshape(h, w)
 
-    def consider(out, s, mask):
-        np.minimum(out, np.where(mask & (s > _S_MIN), s, np.inf).reshape(out.shape), out=out)
+    def consider(s, mask):
+        np.minimum(best, np.where(mask & (s > _S_MIN), s, np.inf), out=best)
 
     radii = np.array([cfg.joint_radius, cfg.capsule_radius])
+    sphere_rects, spheres, capsule_rects, capsules = [], [], [], []
     for joints in persons_world:
         centers = np.array([joints[name] for name in JOINT_NAMES])
         rects = _ball_rects((centers - o) @ rot, radii, col_dirs, row_dirs)
+        sphere_rects.append(rects[0])
+        spheres.extend(centers)
         # a capsule is the convex hull of its end balls: the union of their rectangles
         ends = rects[1][_EDGE_ENDS]                                      # (E, 2, 4)
-        capsule_rects = np.where([True, False, True, False], ends.min(axis=1), ends.max(axis=1))
-        for c, (r0, r1, c0, c1) in zip(centers, rects[0].tolist()):
-            dr = grid[r0:r1, c0:c1].reshape(-1, 3)
-            oc = o - c
-            a = np.einsum("ij,ij->i", dr, dr)
-            b = 2.0 * dr @ oc
-            cc = float(oc @ oc) - cfg.joint_radius ** 2
-            disc = b * b - 4.0 * a * cc
-            hit = disc >= 0.0
-            sq = np.sqrt(np.where(hit, disc, 0.0))
-            s = (-b - sq) / (2.0 * a)
-            consider(best_grid[r0:r1, c0:c1], s, hit)
-        for (na, nb), (r0, r1, c0, c1) in zip(SKELETON_EDGES, capsule_rects.tolist()):
-            a_pt, b_pt = joints[na], joints[nb]
-            axis = b_pt - a_pt
+        edge_rects = np.where([True, False, True, False], ends.min(axis=1), ends.max(axis=1))
+        for (na, nb), rect in zip(SKELETON_EDGES, edge_rects):
+            axis = joints[nb] - joints[na]
             length = float(np.linalg.norm(axis))
-            if length < 1e-9:
-                continue
-            dr = grid[r0:r1, c0:c1].reshape(-1, 3)
-            u = axis / length
-            m = o - a_pt
-            d_par = dr @ u
-            dd = dr - d_par[:, None] * u
-            m_par = float(m @ u)
-            mm = m - m_par * u
-            a2 = np.einsum("ij,ij->i", dd, dd)
-            b2 = 2.0 * dd @ mm
-            c2 = float(mm @ mm) - cfg.capsule_radius ** 2
-            ok = a2 > 1e-14
-            disc = b2 * b2 - 4.0 * a2 * c2
-            hit = ok & (disc >= 0.0)
-            sq = np.sqrt(np.where(hit, disc, 0.0))
-            s = np.where(ok, (-b2 - sq) / np.where(ok, 2.0 * a2, 1.0), np.inf)
-            axial = m_par + s * d_par
-            consider(best_grid[r0:r1, c0:c1], s, hit & (axial >= 0.0) & (axial <= length))
+            if length >= 1e-9:
+                capsule_rects.append(rect)
+                capsules.append((joints[na], axis / length, length))
+
+    idx, bounds = _rect_pixels(np.concatenate(sphere_rects), w)
+    dr = d[idx]
+    oc = [o - c for c in spheres]
+    a = np.einsum("ij,ij->i", dr, dr)
+    b = _slice_products(2.0 * dr, bounds, oc)
+    cc = np.repeat([float(v @ v) - cfg.joint_radius ** 2 for v in oc], np.diff(bounds))
+    disc = b * b - 4.0 * a * cc
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    s = (-b - sq) / (2.0 * a)
+    keep = hit & (s > _S_MIN)
+    np.minimum.at(best, idx[keep], s[keep])
+
+    if capsules:
+        idx, bounds = _rect_pixels(np.array(capsule_rects), w)
+        counts = np.diff(bounds)
+        dr = d[idx]
+        starts, u, lengths = zip(*capsules)
+        m = [o - a_pt for a_pt in starts]
+        m_par = [float(mv @ uv) for mv, uv in zip(m, u)]
+        mm = [mv - mp * uv for mv, mp, uv in zip(m, m_par, u)]
+        d_par = _slice_products(dr, bounds, u)
+        dd = dr - d_par[:, None] * np.repeat(u, counts, axis=0)
+        a2 = np.einsum("ij,ij->i", dd, dd)
+        b2 = _slice_products(2.0 * dd, bounds, mm)
+        c2 = np.repeat([float(v @ v) - cfg.capsule_radius ** 2 for v in mm], counts)
+        ok = a2 > 1e-14
+        disc = b2 * b2 - 4.0 * a2 * c2
+        hit = ok & (disc >= 0.0)
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        s = np.where(ok, (-b2 - sq) / np.where(ok, 2.0 * a2, 1.0), np.inf)
+        axial = np.repeat(m_par, counts) + s * d_par
+        keep = hit & (axial >= 0.0) & (axial <= np.repeat(lengths, counts)) & (s > _S_MIN)
+        np.minimum.at(best, idx[keep], s[keep])
 
     # floor plane y = 0
     going_down = d[:, 1] < -1e-12
     s_floor = np.where(going_down, -o[1] / np.where(going_down, d[:, 1], 1.0), np.inf)
-    consider(best, s_floor, going_down)
+    consider(s_floor, going_down)
     # four walls of finite height
     half = cfg.room_size / 2.0
     for axis_i, value in ((0, half), (0, -half), (2, half), (2, -half)):
@@ -672,10 +709,11 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
         y_hit = o[1] + s_wall * d[:, 1]
         other = 2 - axis_i
         o_hit = o[other] + s_wall * d[:, other]
-        consider(best, s_wall, moving & (y_hit >= 0.0) & (y_hit <= cfg.wall_height)
+        consider(s_wall, moving & (y_hit >= 0.0) & (y_hit <= cfg.wall_height)
                  & (np.abs(o_hit) <= half + 1e-9))
 
-    return np.where(np.isfinite(best_grid), best_grid, 0.0)
+    best = best.reshape(h, w)
+    return np.where(np.isfinite(best), best, 0.0)
 
 
 def _depth_to_colour(depth: np.ndarray) -> np.ndarray:
@@ -684,21 +722,22 @@ def _depth_to_colour(depth: np.ndarray) -> np.ndarray:
     return np.repeat(shade[None, :, :], 3, axis=0)
 
 
-def _generate_scene(scene_id: str, cfg: SynthConfig, rng) -> Scene:
+def _generate_scene(scene_id: str, cfg: SynthConfig, rng, rig: tuple) -> Scene:
     """Draw scenes until every person is visible somewhere; the rng stream
-    keeps advancing, so the outcome stays deterministic per seed."""
+    keeps advancing, so the outcome stays deterministic per seed. ``rig``
+    is ``_camera_rig(cfg)``."""
     last = None
     for _attempt in range(20):
         try:
-            return _build_scene(scene_id, cfg, rng)
+            return _build_scene(scene_id, cfg, rng, rig)
         except GenerationError as e:
             last = e
     raise GenerationError(f"{scene_id}: no valid draw in 20 attempts; "
                           f"the configuration is too tight ({last})")
 
 
-def _build_scene(scene_id: str, cfg: SynthConfig, rng) -> Scene:
-    world_poses, cameras = _camera_rig(cfg)
+def _build_scene(scene_id: str, cfg: SynthConfig, rng, rig: tuple) -> Scene:
+    world_poses, cameras = rig
     n_persons = int(rng.integers(cfg.min_persons, cfg.max_persons + 1))
     placed = []
     persons_world = [_sample_person(rng, cfg, placed) for _ in range(n_persons)]
@@ -717,6 +756,7 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng) -> Scene:
         ))
 
     world_to_ref = invert_transform(world_poses[0])
+    cams_from_world = [invert_transform(pose) for pose in world_poses]
     joints3d, joints2d, visibility = {}, {}, {}
     for p, joints in enumerate(persons_world):
         joints3d[p] = {
@@ -724,8 +764,7 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng) -> Scene:
             for name in JOINT_NAMES
         }
         any_visible = False
-        for v, (pose, cam) in enumerate(zip(world_poses, cameras)):
-            cam_from_world = invert_transform(pose)
+        for v, (cam_from_world, cam) in enumerate(zip(cams_from_world, cameras)):
             j2, vis = {}, {}
             for name in JOINT_NAMES:
                 pc = transform_point(Point3(*joints[name]), cam_from_world)
@@ -779,8 +818,9 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng) -> Scene:
 def generate_synthetic(cfg: SynthConfig) -> tuple[list, list]:
     """Deterministic train/test scene sets for the configured seed."""
     rng = np.random.default_rng(cfg.seed)
-    train = [_generate_scene(f"scene_{i:04d}", cfg, rng) for i in range(cfg.train_scenes)]
-    test = [_generate_scene(f"scene_{i:04d}", cfg, rng)
+    rig = _camera_rig(cfg)
+    train = [_generate_scene(f"scene_{i:04d}", cfg, rng, rig) for i in range(cfg.train_scenes)]
+    test = [_generate_scene(f"scene_{i:04d}", cfg, rng, rig)
             for i in range(cfg.train_scenes, cfg.train_scenes + cfg.test_scenes)]
     return train, test
 
@@ -801,22 +841,33 @@ def generate_dataset(cfg: SynthConfig, root) -> None:
 
 
 def make_target_heatmaps(scene: Scene, view: int, person: int,
-                         sigma: float = 1.0, amplitude: float = 80.0) -> np.ndarray:
-    """Ideal (J, H, W) heatmaps: a Gaussian of the given sigma centred on
-    each visible joint's exact projection; all-zero channels for joints
-    not visible in this view."""
+                         sigma: float = 1.0, amplitude: float = 80.0,
+                         mask: np.ndarray | None = None) -> np.ndarray:
+    """Ideal heatmaps: a Gaussian of the given sigma centred on each
+    visible joint's exact projection; all-zero channels for joints not
+    visible in this view.
+
+    Without ``mask`` this is the whole grid, a C-contiguous (J, H, W)
+    raster. With an (H, W) bool ``mask`` it is the (J, n) heatmaps at
+    the mask's n pixels in row-major order, and only those are
+    evaluated. The values equal ``raster[:, mask]`` bit for bit, and so
+    does the layout: an F-contiguous array with strides (8, 8 J), the
+    transpose of an (n, J) array. Fusion's products take their BLAS path
+    from that layout, and a C-contiguous (J, n) copy can differ from
+    them in the last bit."""
     sv = scene.views[view]
     h, w = sv.height, sv.width
-    out = np.zeros((len(JOINT_NAMES), h, w))
+    ys, xs = np.nonzero(np.ones((h, w), dtype=bool) if mask is None else mask)
     vis = scene.visibility[(person, view)]
     pts = scene.joints2d[(person, view)]
-    ys, xs = np.mgrid[0:h, 0:w]
-    for j, name in enumerate(JOINT_NAMES):
-        if not vis[name]:
-            continue
-        px, py = pts[name]
-        out[j] = amplitude * np.exp(-((xs - px) ** 2 + (ys - py) ** 2) / (2.0 * sigma ** 2))
-    return out
+    cols = [j for j, name in enumerate(JOINT_NAMES) if vis[name]]
+    px, py = np.array([pts[JOINT_NAMES[j]] for j in cols]).reshape(-1, 2).T
+    out = np.zeros((xs.size, len(JOINT_NAMES)))
+    out[:, cols] = amplitude * np.exp(-((xs[:, None] - px) ** 2 + (ys[:, None] - py) ** 2)
+                                      / (2.0 * sigma ** 2))
+    if mask is None:
+        return np.ascontiguousarray(out.T).reshape(-1, h, w)
+    return out.T
 
 
 def lift_errors(scene: Scene) -> dict:

@@ -192,7 +192,7 @@ def _predictor_input(inp, rec, footprint: tuple) -> tuple:
 def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                   records: dict | None, tape: Tape | None,
                   coords_cache: dict | None = None,
-                  oracle_heatmaps: dict | None = None) -> list:
+                  oracle_heatmaps=None) -> list:
     """Run the per-view chain for one person: build input, augment,
     predict, invert the augmentation at the valid pixels. Returns one
     ViewForward per supporting view (empty list = no supporting views).
@@ -207,9 +207,12 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
     pixels that have a pre-image in the crop; a view with none of them
     runs no predictor.
 
-    With ``oracle_heatmaps`` (view -> (J,H,W) array), the predictor and
-    augmentation are bypassed and the provided heatmaps are read at the
-    valid pixels; this is the oracle path used by fusion verification.
+    With ``oracle_heatmaps``, the predictor and augmentation are bypassed
+    and the given heatmaps are fused; this is the oracle path used by
+    fusion verification. It is either a dict view -> (J, H, W) raster,
+    read at the valid pixels, or a function (view, valid) -> (J, n) that
+    gives the heatmaps at the valid pixels only, as ``valid_pixel_mask``
+    orders them.
     """
     out = []
     for sv in scene.views:
@@ -226,7 +229,8 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
             cloud = view_cloud_coords(sv.depth, sv.camera)
         if oracle_heatmaps is not None:
             rows = np.flatnonzero(valid)
-            acts = Tensor(oracle_heatmaps[sv.view][:, valid])
+            acts = Tensor(oracle_heatmaps(sv.view, valid) if callable(oracle_heatmaps)
+                          else oracle_heatmaps[sv.view][:, valid])
         else:
             rec = records.get(sv.view) if records else None
             if rec is None:
@@ -502,8 +506,10 @@ def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
                    oracle_cfg: tuple | None = None) -> Pose3 | None:
     if oracle_cfg is not None:
         sigma, amplitude = oracle_cfg
-        oracle = {v: make_target_heatmaps(scene, v, person, sigma, amplitude)
-                  for v in scene.supporting_views(person)}
+
+        def oracle(view, valid):
+            return make_target_heatmaps(scene, view, person, sigma, amplitude, valid)
+
         forwards = forward_scene(None, scene, person, None, None,
                                  coords_cache=coords_cache, oracle_heatmaps=oracle)
     else:

@@ -12,7 +12,9 @@ from posefusion.data import (
     GenerationError,
     SceneFormatError,
     SynthConfig,
+    _ball_rects,
     _camera_rig,
+    _rect_pixels,
     _render_depth,
     _sample_person,
     generate_dataset,
@@ -28,6 +30,7 @@ from posefusion.data import (
 )
 from posefusion.fusion import JOINT_NAMES, round_half_up
 from posefusion.geometry import invert_transform, project_point, transform_point
+from posefusion.heatmap import valid_pixel_mask
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +352,57 @@ class TestRenderer:
         shift = pose.translation + 0.12 * pose.rotation[:, 2] - joints["wrist_l"]
         assert self._compare(cfg, [{k: p + shift for k, p in joints.items()}]) == 1
 
+    def test_equals_full_grid_with_a_zero_length_bone(self):
+        # the forearm's two ends coincide: that capsule drops out of the
+        # batch, and the slices of the capsules after it shift
+        cfg = SynthConfig(seed=9)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(4):
+            placed = []
+            persons = [_sample_person(rng, cfg, placed) for _ in range(2)]
+            persons[0]["wrist_l"] = persons[0]["elbow_l"].copy()
+            persons[1]["hip_r"] = persons[1]["hip_l"].copy()
+            self._compare(cfg, persons)
+
+    def test_equals_full_grid_with_a_person_outside_a_view(self):
+        # a figure 2.5 m in front of camera 0 and 3 m to its right: no
+        # pixel ray of view 0 can meet it, so every rectangle there is the
+        # one-pixel strip at the right border that the widening leaves
+        cfg = SynthConfig(seed=13)
+        world_poses, cameras = _camera_rig(cfg)
+        pose, cam = world_poses[0], cameras[0]
+        joints = _sample_person(np.random.default_rng(cfg.seed), cfg, [])
+        hip_mid = (joints["hip_l"] + joints["hip_r"]) / 2.0
+        shift = (pose.translation + 2.5 * pose.rotation[:, 2] + 3.0 * pose.rotation[:, 0]
+                 - hip_mid)
+        person = {k: p + shift for k, p in joints.items()}
+        col_dirs = (np.arange(cfg.image_w) - cam.cx) / cam.fx
+        row_dirs = (np.arange(cfg.image_h) - cam.cy) / cam.fy
+        centres = np.array([person[name] for name in JOINT_NAMES])
+        rects = _ball_rects((centres - pose.translation) @ pose.rotation,
+                            np.array([cfg.joint_radius, cfg.capsule_radius]), col_dirs, row_dirs)
+        assert (rects[..., 2:] == (cfg.image_w - 1, cfg.image_w)).all()
+        self._compare(cfg, [person])
+        empty_room = _full_grid_render_depth(
+            np.stack([np.tile(col_dirs, cfg.image_h), np.repeat(row_dirs, cfg.image_w),
+                      np.ones(cfg.image_h * cfg.image_w)], axis=1),
+            pose.translation, pose.rotation, [], cfg)
+        got = _render_depth(col_dirs, row_dirs, pose.translation, pose.rotation, [person], cfg)
+        assert np.array_equal(got.ravel(), empty_room)
+
+    def test_rect_pixels_concatenates_row_major_slices(self):
+        # empty rectangles (no rows, no columns, both) take no slice
+        h, w = 7, 9
+        rects = np.array([[0, 7, 0, 9], [2, 2, 1, 5], [3, 5, 4, 4], [6, 7, 8, 9],
+                          [1, 4, 2, 6], [7, 7, 9, 9], [0, 1, 0, 2]])
+        idx, bounds = _rect_pixels(rects, w)
+        grid = np.arange(h * w).reshape(h, w)
+        want = [grid[r0:r1, c0:c1].ravel() for r0, r1, c0, c1 in rects]
+        assert bounds.tolist() == np.cumsum([0] + [p.size for p in want]).tolist()
+        assert idx.tolist() == np.concatenate(want).tolist()
+        idx, bounds = _rect_pixels(rects[[1, 2, 5]], w)
+        assert idx.size == 0 and bounds.tolist() == [0, 0, 0, 0]
+
 
 class TestTargetHeatmaps:
     def test_peak_at_rounded_projection(self, small_scenes):
@@ -377,6 +431,45 @@ class TestTargetHeatmaps:
                             assert np.all(hm[j] == 0.0)
                             found = True
         assert found
+
+    @pytest.fixture(scope="class")
+    def oracle_scenes(self):
+        return generate_synthetic(SynthConfig(seed=303, train_scenes=30, test_scenes=0))[0]
+
+    def test_fused_pixel_gaussians_equal_the_raster_at_the_valid_pixels(self, oracle_scenes):
+        # values and layout: fusion's products take their BLAS path from
+        # the strides, so a C-contiguous copy could differ in the last bit
+        pairs = 0
+        for scene in oracle_scenes:
+            for person in scene.persons():
+                for view in scene.supporting_views(person):
+                    sv = scene.views[view]
+                    valid = valid_pixel_mask(sv.boxes[person], sv.depth)
+                    full = make_target_heatmaps(scene, view, person)
+                    assert full.flags.c_contiguous
+                    want = full[:, valid]
+                    got = make_target_heatmaps(scene, view, person, mask=valid)
+                    assert np.array_equal(got, want)
+                    assert got.strides == want.strides and got.flags == want.flags
+                    pairs += 1
+        assert pairs > 150
+
+    def test_oracle_fusion_equals_the_full_grid_path(self, oracle_scenes):
+        from posefusion.pipeline import forward_scene, fused_centers, oracle_fusion_mpjpe
+
+        for scene in oracle_scenes:
+            dists = []
+            for person in scene.persons():
+                support = scene.supporting_views(person)
+                rasters = {v: make_target_heatmaps(scene, v, person) for v in support}
+                forwards = forward_scene(None, scene, person, None, None,
+                                         oracle_heatmaps=rasters)
+                centers = fused_centers(None, forwards).values
+                for j, name in enumerate(JOINT_NAMES):
+                    if any(scene.visibility[(person, v)][name] for v in support):
+                        dists.append(float(np.linalg.norm(
+                            centers[j] - scene.joints3d[person][name].as_array())))
+            assert oracle_fusion_mpjpe(scene)[0] == float(np.mean(dists)) * 100.0
 
     def test_oracle_fusion_stays_under_quantization_bound(self, small_scenes):
         from posefusion.pipeline import oracle_fusion_mpjpe
