@@ -23,7 +23,7 @@ from .geometry import GeometryError
 
 _USER_ERRORS = (
     D.SceneFormatError, D.GenerationError, P.PipelineError, M.MatchingError,
-    F.FusionError, hm.HeatmapError, GeometryError, AugmentError,
+    hm.HeatmapError, GeometryError, AugmentError,
     tg.TensorGradError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
 )
 
@@ -185,7 +185,7 @@ def _cmd_match(args) -> int:
             {
                 "members": {str(v): i for v, i in sorted(c.members.items())},
                 "mean_distance_m": c.mean_distance,
-                "centers": {str(v): ([round(x, 6) for x in p.as_array()] if p else None)
+                "centers": {str(v): ([float(round(x, 6)) for x in p] if p is not None else None)
                             for v, p in sorted(c.centers.items())},
             }
             for c in combos

@@ -18,21 +18,23 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import JOINT_NAMES, Pose3, round_half_up
+from .fusion import JOINT_NAMES, round_half_up
 from .geometry import (
     Camera,
     GeometryError,
-    Point3,
     RigidTransform,
     backproject_pixel,
     compose,
     invert_transform,
+    project_point,
     transform_point,
 )
 from .heatmap import BoundingBox, DepthImage, HeatmapError
@@ -99,7 +101,7 @@ class Scene:
     id: str
     views: list
     n_persons: int
-    joints3d: dict                      # person -> {joint: Point3} (shared frame)
+    joints3d: dict                      # person -> {joint: (3,) array} (shared frame)
     joints2d: dict                      # (person, view) -> {joint: (x, y) | None}
     visibility: dict                    # (person, view) -> {joint: bool}
 
@@ -109,9 +111,9 @@ class Scene:
     def supporting_views(self, person: int) -> list:
         return [v.view for v in self.views if person in v.boxes]
 
-    def gt_pose3(self, person: int) -> Pose3:
-        """Ground-truth 3D joints in the shared frame."""
-        return Pose3(person=person, joints=dict(self.joints3d[person]))
+    def gt_pose3(self, person: int) -> dict:
+        """Ground-truth 3D joints in the shared frame, {name: (3,) array}."""
+        return self.joints3d[person]
 
     def gt_pose2(self, person: int, view: int) -> dict:
         """Ground-truth 2D joints in one view, {name: (x, y) | None}: exact
@@ -217,8 +219,7 @@ def save_scene(scene: Scene, directory) -> None:
             {
                 "person": p,
                 "joints3d": {
-                    name: [pt.x, pt.y, pt.z]
-                    for name, pt in ((n, scene.joints3d[p][n]) for n in JOINT_NAMES)
+                    name: scene.joints3d[p][name].tolist() for name in JOINT_NAMES
                 },
                 "views": [
                     {
@@ -269,6 +270,13 @@ def _shaped(kind, value, context: str):
         what = "an object" if kind is dict else "a list"
         raise SceneFormatError(f"{context} must be {what}, got {type(value).__name__}")
     return value
+
+
+def _finite_number(value) -> bool:
+    """A real number other than a bool that a float holds finitely;
+    abs(v) <= max float also rejects NaN, and ints too large for a float."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def load_scene(directory) -> Scene:
@@ -352,10 +360,10 @@ def load_scene(directory) -> Scene:
         j3_doc = _shaped(dict, _field(pdoc, "joints3d", ctx), f"{ctx}.joints3d")
         for name in JOINT_NAMES:
             xyz = _field(j3_doc, name, f"{ctx}.joints3d")
-            try:
-                j3[name] = Point3(*(scale * float(c) for c in xyz))
-            except (TypeError, ValueError, GeometryError) as e:
-                raise SceneFormatError(f"{ctx}.joints3d.{name}: {e}") from None
+            if not (isinstance(xyz, list) and len(xyz) == 3 and all(map(_finite_number, xyz))):
+                raise SceneFormatError(f"{ctx}.joints3d.{name}: expected 3 finite numbers, "
+                                       f"got {xyz!r}")
+            j3[name] = np.array([scale * float(c) for c in xyz])
         joints3d[p] = j3
         for k, vdoc in enumerate(_shaped(list, _field(pdoc, "views", ctx), f"{ctx}.views")):
             v = _typed(int, _shaped(dict, vdoc, f"{ctx}.views[{k}]"), "view", ctx)
@@ -760,26 +768,25 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng, rig: tuple) -> Scene:
     joints3d, joints2d, visibility = {}, {}, {}
     for p, joints in enumerate(persons_world):
         joints3d[p] = {
-            name: transform_point(Point3(*joints[name]), world_to_ref)
+            name: transform_point(joints[name], world_to_ref)
             for name in JOINT_NAMES
         }
         any_visible = False
         for v, (cam_from_world, cam) in enumerate(zip(cams_from_world, cameras)):
             j2, vis = {}, {}
             for name in JOINT_NAMES:
-                pc = transform_point(Point3(*joints[name]), cam_from_world)
-                if pc.z <= 0.05:
+                pc = transform_point(joints[name], cam_from_world)
+                if pc[2] <= 0.05:
                     j2[name], vis[name] = None, False
                     continue
-                px = cam.fx * pc.x / pc.z + cam.cx
-                py = cam.fy * pc.y / pc.z + cam.cy
+                px, py = project_point(pc, cam)
                 xi, yi = round_half_up(px), round_half_up(py)
                 if not (0 <= xi < w and 0 <= yi < h):
                     j2[name], vis[name] = None, False
                     continue
                 j2[name] = (px, py)
                 surface = depth_rasters[v][yi, xi]
-                vis[name] = bool(surface > 0.0 and abs(surface - pc.z) <= cfg.joint_radius + 1e-3)
+                vis[name] = bool(surface > 0.0 and abs(surface - pc[2]) <= cfg.joint_radius + 1e-3)
             joints2d[(p, v)] = j2
             visibility[(p, v)] = vis
             pts = [j2[name] for name in JOINT_NAMES if vis[name]]
@@ -897,9 +904,7 @@ def lift_errors(scene: Scene) -> dict:
                 lifted = transform_point(
                     backproject_pixel((xi, yi), z, sv.camera), sv.camera.to_reference
                 )
-                errors[(p, name, sv.view)] = float(
-                    np.linalg.norm(lifted.as_array() - gt[name].as_array())
-                )
+                errors[(p, name, sv.view)] = float(np.linalg.norm(lifted - gt[name]))
     return errors
 
 

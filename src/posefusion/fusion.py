@@ -6,33 +6,28 @@ all views and the prediction is the weights' centre of mass. One kernel,
 ``soft_center``, computes that centre; ``soft_center_stack`` records it
 on the tape with its adjoint, so the 3D loss backpropagates through it.
 
-Also provides the baseline's 2D-domain fusion, ``lift_and_fuse_2d``: per
-joint, each view contributes the cloud point at its predicted pixel,
-weighted by a softmax over the activations read there; a view whose
-depth is unknown at that pixel is dropped.
+A pose is a dict {joint name: (3,) float64 array in meters, or None for
+an absent joint} over ``JOINT_NAMES``; ``pose_distances`` scores one
+person's predicted pose against its reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Point3, backproject_grid, transform_points
+from .geometry import Camera, backproject_grid, transform_points
 from .heatmap import DepthImage
 from .tensorgrad import Tape, Tensor, _result
 
 __all__ = [
     "JOINT_NAMES",
     "JOINT_TYPES",
-    "FusionError",
-    "Pose3",
     "view_cloud_coords",
     "soft_center",
     "soft_center_stack",
     "pose_distances",
-    "lift_and_fuse_2d",
     "round_half_up",
 ]
 
@@ -53,28 +48,6 @@ JOINT_TYPES = {
     "elbow": ("elbow_l", "elbow_r"),
     "wrist": ("wrist_l", "wrist_r"),
 }
-
-
-class FusionError(ValueError):
-    """Invalid input to the fusion stage."""
-
-
-@dataclass(frozen=True)
-class Pose3:
-    """A person's 3D joints in meters, keyed by joint name; None = absent."""
-
-    person: int
-    joints: dict
-
-    def __post_init__(self):
-        if set(self.joints) != set(JOINT_NAMES):
-            raise FusionError(f"pose joints must be exactly {JOINT_NAMES}")
-        for name, p in self.joints.items():
-            if p is not None and not isinstance(p, Point3):
-                raise FusionError(f"joint '{name}' must be Point3 or None")
-
-    def present(self):
-        return {k: v for k, v in self.joints.items() if v is not None}
 
 
 def round_half_up(x: float) -> int:
@@ -135,43 +108,10 @@ def soft_center_stack(tape: Tape | None, tensors: list[Tensor],
     return _multi_view_soft_centers(tape, tensors, coords_list, "soft_center_3d")
 
 
-def pose_distances(predicted, reference) -> dict:
-    """Euclidean distances in meters for every jointly-present joint.
-
-    Poses are matched by person index. Returns {(person, joint): meters}.
-    """
-    ref_by_person = {p.person: p for p in reference}
-    out = {}
-    for pred in predicted:
-        ref = ref_by_person.get(pred.person)
-        if ref is None:
-            continue
-        for name in JOINT_NAMES:
-            a, b = pred.joints[name], ref.joints[name]
-            if a is None or b is None:
-                continue
-            out[(pred.person, name)] = float(np.linalg.norm(a.as_array() - b.as_array()))
-    return out
-
-
-def lift_and_fuse_2d(person: int, values: np.ndarray, points: np.ndarray,
-                     known: np.ndarray) -> Pose3 | None:
-    """Fuse one person's per-view 2D joint predictions, lifted to 3D.
-
-    For joint j and view v, ``values[j, v]`` is the activation at the
-    view's predicted pixel, ``points[j, v]`` that pixel's (3,) shared-frame
-    position and ``known[j, v]`` whether its depth is known. Per joint, a
-    softmax over the values of the known views weights their points; a
-    joint known in no view is absent. Returns None if every joint is.
-    """
-    fused = {}
-    for j, name in enumerate(JOINT_NAMES):
-        keep = known[j]
-        if keep.any():
-            center, _ = soft_center(values[j, keep], points[j, keep])
-            fused[name] = Point3(*map(float, center))
-        else:
-            fused[name] = None
-    if all(v is None for v in fused.values()):
-        return None
-    return Pose3(person=person, joints=fused)
+def pose_distances(predicted: dict, reference: dict) -> dict:
+    """Euclidean distances in meters between two poses of one person,
+    {joint name: meters} for every joint present in both; empty when no
+    joint is."""
+    return {name: float(np.linalg.norm(predicted[name] - reference[name]))
+            for name in JOINT_NAMES
+            if predicted[name] is not None and reference[name] is not None}

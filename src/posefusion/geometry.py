@@ -8,6 +8,8 @@ Conventions used throughout the package:
   (perpendicular depth), not ray length.
 * All lengths are in meters internally; reported metrics convert to
   centimeters at the reporting boundary.
+* A 3D point is a (3,) float64 array (x, y, z); N points are an (N, 3)
+  array.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "BehindCameraError",
-    "Point3",
     "RigidTransform",
     "Camera",
     "backproject_pixel",
@@ -38,22 +39,6 @@ class GeometryError(ValueError):
 
 class BehindCameraError(GeometryError):
     """A point with z <= 0 cannot be projected through a pinhole camera."""
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A 3D point in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise GeometryError(f"Point3 components must be finite, got {(self.x, self.y, self.z)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
 _ROTATION_TOL = 1e-9
@@ -131,8 +116,8 @@ class Camera:
             raise GeometryError(f"camera {self.id}: focal lengths must be positive")
 
 
-def backproject_pixel(pixel, depth: float, camera: Camera) -> Point3:
-    """Lift a pixel to a 3D point in the camera's own frame.
+def backproject_pixel(pixel, depth: float, camera: Camera) -> np.ndarray:
+    """Lift a pixel to a (3,) point in the camera's own frame.
 
     Along the camera ray through (x, y), at z-depth ``depth``:
     (depth*(x-cx)/fx, depth*(y-cy)/fy, depth).
@@ -142,11 +127,11 @@ def backproject_pixel(pixel, depth: float, camera: Camera) -> Point3:
     if depth < 0:
         raise GeometryError(f"depth must be non-negative, got {depth}")
     x, y = float(pixel[0]), float(pixel[1])
-    return Point3(
+    return np.array([
         depth * (x - camera.cx) / camera.fx,
         depth * (y - camera.cy) / camera.fy,
         depth,
-    )
+    ])
 
 
 def backproject_grid(depth: np.ndarray, camera: Camera) -> np.ndarray:
@@ -172,20 +157,19 @@ def backproject_grid(depth: np.ndarray, camera: Camera) -> np.ndarray:
     return pts.reshape(-1, 3)
 
 
-def project_point(point: Point3, camera: Camera) -> tuple[float, float]:
-    """Forward pinhole projection to continuous pixel coordinates."""
-    if point.z <= 0:
-        raise BehindCameraError(f"cannot project point with z={point.z} (behind camera)")
-    return (
-        camera.fx * point.x / point.z + camera.cx,
-        camera.fy * point.y / point.z + camera.cy,
-    )
+def project_point(point: np.ndarray, camera: Camera) -> tuple[float, float]:
+    """Forward pinhole projection of a (3,) camera-frame point to
+    continuous pixel coordinates."""
+    x, y, z = map(float, point)
+    if z <= 0:
+        raise BehindCameraError(f"cannot project point with z={z} (behind camera)")
+    return camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy
 
 
-def transform_point(point: Point3, t: RigidTransform) -> Point3:
-    """Apply a rigid transform: homogeneous multiply T @ [x y z 1]."""
-    v = t.matrix @ np.array([point.x, point.y, point.z, 1.0])
-    return Point3(float(v[0]), float(v[1]), float(v[2]))
+def transform_point(point: np.ndarray, t: RigidTransform) -> np.ndarray:
+    """Apply a rigid transform to a (3,) point: homogeneous multiply
+    T @ [x y z 1]."""
+    return (t.matrix @ np.append(point, 1.0))[:3]
 
 
 def transform_points(points: np.ndarray, t: RigidTransform) -> np.ndarray:

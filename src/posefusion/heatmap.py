@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 # What the baseline lifting reads at a pixel its view does not fuse (see
-# pipeline._lift_centers_2d).
+# pipeline.lift_and_fuse_2d).
 DEFAULT_EPSILON = -1e4
 
 

@@ -1,13 +1,13 @@
 """Cross-view association of person bounding boxes via 3D centre distance.
 
 Each box centre is lifted to the shared frame through its view's depth
-image and camera. Candidate combinations of two or three boxes from
-distinct views are kept only if every pairwise centre distance stays
-under the threshold; selection is greedy by ascending mean pairwise
-distance, taking all surviving triples before any pair, and leftover
-boxes become singletons. Evaluation matches each annotated person to
-the combination with the highest mean IoU over the views, counting
-missing boxes as IoU 0.
+image and camera, as a (3,) float64 array in meters. Candidate
+combinations of two or three boxes from distinct views are kept only if
+every pairwise centre distance stays under the threshold; selection is
+greedy by ascending mean pairwise distance, taking all surviving triples
+before any pair, and leftover boxes become singletons. Evaluation
+matches each annotated person to the combination with the highest mean
+IoU over the views, counting missing boxes as IoU 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Point3, backproject_pixel, transform_point
+from .geometry import Camera, backproject_pixel, transform_point
 from .heatmap import BoundingBox, DepthImage, HeatmapError
 from .fusion import round_half_up
 
@@ -62,7 +62,7 @@ class BoxCombination:
     """One hypothesised person: at most one box per view.
 
     members maps view -> box index within that view's list; centers maps
-    view -> lifted Point3 (None for an unliftable singleton).
+    view -> lifted (3,) centre (None for an unliftable singleton).
     """
 
     members: dict
@@ -83,8 +83,8 @@ class BoxCombination:
         return tuple(sorted(self.members.items()))
 
 
-def lift_box_center(box: BoundingBox, depth: DepthImage, camera: Camera) -> Point3:
-    """Lift a box centre into the shared frame.
+def lift_box_center(box: BoundingBox, depth: DepthImage, camera: Camera) -> np.ndarray:
+    """Lift a box centre to a (3,) point in the shared frame.
 
     Uses the depth at the rounded centre pixel; if that depth is unknown,
     falls back to the median of the valid depths inside the box. Raises
@@ -116,7 +116,7 @@ def _candidate_combinations(centers: dict, views: list, cfg: MatchConfig) -> lis
         for view_combo in itertools.combinations(views, size):
             pools = [liftable[v] for v in view_combo]
             for picks in itertools.product(*pools):
-                pts = [centers[v][i].as_array() for v, i in zip(view_combo, picks)]
+                pts = [centers[v][i] for v, i in zip(view_combo, picks)]
                 dists = [float(np.linalg.norm(a - b))
                          for a, b in itertools.combinations(pts, 2)]
                 if max(dists) > cfg.t:
@@ -134,7 +134,7 @@ def _candidate_combinations(centers: dict, views: list, cfg: MatchConfig) -> lis
 def match_centers(centers: dict, cfg: MatchConfig = MatchConfig()) -> list:
     """Greedy best-first partition of lifted centres into combinations.
 
-    centers maps view -> list[Point3 | None] (None = unliftable, forced
+    centers maps view -> list[(3,) array | None] (None = unliftable, forced
     singleton). Selection order: all surviving triples by ascending mean
     pairwise distance, then surviving pairs, skipping any combination
     that would reuse an assigned box; everything left is a singleton.

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import numbers
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensorgrad as tg
 from .augment import (
+    AugmentError,
     AugmentationConfig,
     apply_to_input,
     identity_record,
@@ -27,18 +27,22 @@ from .augment import (
     invert_on_heatmap_tensor,
     sample_augmentation,
 )
-from .data import Scene, load_dataset, make_target_heatmaps, quantization_bound_cm
+from .data import (
+    Scene,
+    _finite_number,
+    load_dataset,
+    make_target_heatmaps,
+    quantization_bound_cm,
+)
 from .fusion import (
     JOINT_NAMES,
     JOINT_TYPES,
-    Pose3,
-    lift_and_fuse_2d,
     pose_distances,
+    soft_center,
     soft_center_stack,
     _multi_view_soft_centers,
     view_cloud_coords,
 )
-from .geometry import Point3
 from .heatmap import DEFAULT_EPSILON, build_input_tensor, valid_pixel_mask
 from .tensorgrad import AdamState, Tape, Tensor, adam_step, backward
 
@@ -270,29 +274,43 @@ def _view_centers_2d(tape: Tape | None, f: ViewForward) -> Tensor:
     return Tensor(np.tile([(w - 1) / 2.0, (h - 1) / 2.0], (J, 1)))
 
 
-def _lift_centers_2d(f: ViewForward, coms: np.ndarray, depth: np.ndarray) -> tuple:
-    """Lift one view's (J, 2) 2D centres, each rounded half up to its
-    nearest pixel and clamped to the image. Returns the (J,) activations
-    at those pixels, their (J, 3) shared-frame positions, and the (J,)
-    flags of known depth there, all False when the view has no valid
-    pixel.
+def lift_and_fuse_2d(forwards: list, coms: list, depths: list) -> dict | None:
+    """Baseline-2d lifting of one person's pose from its views' 2D centres.
+
+    ``coms[i]`` holds the (J, 2) 2D centres of view ``forwards[i]`` and
+    ``depths[i]`` its (H, W) depth raster. Each centre is rounded half up
+    to its nearest pixel and clamped to the image; the view contributes
+    that pixel's activation and shared-frame position for the joint, and
+    counts only where the depth is known there and the view has a valid
+    pixel. Per joint, a softmax over the activations of the counting
+    views weights their positions; a joint no view counts for is absent.
+    Returns the pose, or None if every joint is absent.
 
     A pixel the view does not fuse (outside the box, or with no
     pre-image in the crop) reads the exclusion value ε, low enough that
     its softmax weight underflows to exactly zero beside any fused
     activation; a zero would be a live logit and would pull the fused
     joint towards that view's point."""
-    h, w = f.valid.shape
-    pix = (np.clip(np.floor(coms[:, 1] + 0.5), 0, h - 1) * w
-           + np.clip(np.floor(coms[:, 0] + 0.5), 0, w - 1)).astype(np.intp)
-    # f.rows is sorted, so a pixel is fused exactly when it sits at pos
-    pos = np.searchsorted(f.rows, pix)
-    fused = pos < f.rows.size
-    fused[fused] = f.rows[pos[fused]] == pix[fused]
-    values = np.full(J, DEFAULT_EPSILON)
-    values[fused] = f.acts.values[fused, pos[fused]]
-    known = (depth.ravel()[pix] > 0.0) & f.valid.any()
-    return values, f.cloud[pix], known
+    values, points, known = [], [], []
+    for f, c, depth in zip(forwards, coms, depths):
+        h, w = f.valid.shape
+        pix = (np.clip(np.floor(c[:, 1] + 0.5), 0, h - 1) * w
+               + np.clip(np.floor(c[:, 0] + 0.5), 0, w - 1)).astype(np.intp)
+        # f.rows is sorted, so a pixel is fused exactly when it sits at pos
+        pos = np.searchsorted(f.rows, pix)
+        fused = pos < f.rows.size
+        fused[fused] = f.rows[pos[fused]] == pix[fused]
+        read = np.full(J, DEFAULT_EPSILON)
+        read[fused] = f.acts.values[fused, pos[fused]]
+        values.append(read)
+        points.append(f.cloud[pix])
+        known.append((depth.ravel()[pix] > 0.0) & f.valid.any())
+    values, points, known = (np.stack(arrays, axis=1) for arrays in (values, points, known))
+    pose = {}
+    for j, name in enumerate(JOINT_NAMES):
+        keep = known[j]
+        pose[name] = soft_center(values[j, keep], points[j, keep])[0] if keep.any() else None
+    return pose if any(p is not None for p in pose.values()) else None
 
 
 def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | None:
@@ -321,10 +339,10 @@ def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | Non
     return tg._result(tape, tuple(predictions), total / count, vjp, "mean_distance")
 
 
-def _person_loss_3d(tape: Tape, forwards: list, gt: Pose3) -> Tensor | None:
-    """Mean 3D joint distance (meters) for one person, on the tape."""
-    targets = {j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)
-               if gt.joints[name] is not None}
+def _person_loss_3d(tape: Tape, forwards: list, gt: dict) -> Tensor | None:
+    """Mean 3D joint distance (meters) for one person to its pose ``gt``,
+    on the tape."""
+    targets = {j: gt[name] for j, name in enumerate(JOINT_NAMES) if gt[name] is not None}
     return _mean_distance(tape, [fused_centers(tape, forwards)], [targets])
 
 
@@ -346,9 +364,7 @@ def _person_loss_2d(tape: Tape, forwards: list, scene: Scene, person: int) -> Te
 
 
 _INT = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
-# abs(v) <= max float also rejects NaN, and ints too large for a float
-_NUMBER = ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-           and abs(v) <= sys.float_info.max)
+_NUMBER = ("a finite number", _finite_number)
 _TEXT = ("a string", lambda v: isinstance(v, str))
 _PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
 # field name -> (what it must be, check)
@@ -393,6 +409,15 @@ class TrainConfig:
             raise PipelineError("epochs and lr must be positive")
         if self.seed < 0:
             raise PipelineError(f"seed must not be negative, got {self.seed}")
+        # the sampling ranges train draws from; the image size is the crop's
+        # here, since each view's crop is clipped to its image
+        try:
+            AugmentationConfig(
+                image_h=self.crop_h, image_w=self.crop_w, crop_h=self.crop_h,
+                crop_w=self.crop_w, flip_prob=self.flip_prob, rot_deg_max=self.rot_deg_max,
+                jitter_low=self.jitter_low, jitter_high=self.jitter_high)
+        except AugmentError as e:
+            raise PipelineError(f"training config augmentation: {e}") from None
 
     @classmethod
     def from_dict(cls, doc: dict, source: str = "training config") -> "TrainConfig":
@@ -503,7 +528,7 @@ def train(cfg: TrainConfig, scenes: list | None = None) -> TrainResult:
 
 def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
                    mode: str, coords_cache: dict | None = None,
-                   oracle_cfg: tuple | None = None) -> Pose3 | None:
+                   oracle_cfg: tuple | None = None) -> dict | None:
     if oracle_cfg is not None:
         sigma, amplitude = oracle_cfg
 
@@ -519,14 +544,9 @@ def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
         return None
 
     if mode == "proposed-3d":
-        centers = fused_centers(None, forwards).values
-        joints = {name: Point3(*centers[j]) for j, name in enumerate(JOINT_NAMES)}
-        return Pose3(person=person, joints=joints)
-
-    lifted = [_lift_centers_2d(f, _view_centers_2d(None, f).values,
-                               scene.views[f.view].depth.raster) for f in forwards]
-    values, points, known = (np.stack(arrays, axis=1) for arrays in zip(*lifted))
-    return lift_and_fuse_2d(person, values, points, known)
+        return dict(zip(JOINT_NAMES, fused_centers(None, forwards).values))
+    return lift_and_fuse_2d(forwards, [_view_centers_2d(None, f).values for f in forwards],
+                            [scene.views[f.view].depth.raster for f in forwards])
 
 
 @dataclass
@@ -580,13 +600,13 @@ def evaluate(scenes: list, mode: str, predictor: ToyPredictor | None = None,
                                   coords_cache=coords_cache, oracle_cfg=oracle_cfg)
             if pred is None:
                 continue
-            dists = pose_distances([pred], [scene.gt_pose3(person)])
+            dists = pose_distances(pred, scene.gt_pose3(person))
             if not dists:
                 continue
             pose_count += 1
-            for (p, name), dv in dists.items():
-                all_dists[((si, p), name)] = dv
-                bucket_dists.setdefault(support, {})[((si, p), name)] = dv
+            for name, dv in dists.items():
+                all_dists[((si, person), name)] = dv
+                bucket_dists.setdefault(support, {})[((si, person), name)] = dv
             bucket_poses[support] = bucket_poses.get(support, 0) + 1
 
     scores = _type_scores(all_dists)
@@ -629,8 +649,7 @@ def oracle_fusion_mpjpe(scene: Scene, sigma: float = 1.0,
         for name in JOINT_NAMES:
             if not any(scene.visibility[(person, v)][name] for v in support):
                 continue
-            dists.append(float(np.linalg.norm(pred.joints[name].as_array()
-                                              - gt[name].as_array())))
+            dists.append(float(np.linalg.norm(pred[name] - gt[name])))
     if not dists:
         raise PipelineError(f"{scene.id}: nothing to score in oracle fusion")
     return float(np.mean(dists)) * 100.0, quantization_bound_cm(scene)

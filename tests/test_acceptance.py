@@ -21,7 +21,7 @@ from posefusion.augment import AugmentationRecord, apply_geometric
 from posefusion.cli import main as cli_main
 from posefusion.data import SynthConfig, generate_synthetic
 from posefusion.fusion import soft_center
-from posefusion.geometry import Camera, Point3, backproject_pixel, project_point
+from posefusion.geometry import Camera, backproject_pixel, project_point
 from posefusion.heatmap import DEFAULT_EPSILON, BoundingBox, DepthImage, valid_pixel_mask
 from posefusion.matching import MatchConfig, match_centers
 
@@ -64,10 +64,10 @@ class TestCriterion1GeometryRoundTrip:
         t0 = time.perf_counter()
         worst = 0.0
         for _ in range(1000):
-            p = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 5.0))
+            p = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 5.0)])
             x, y = project_point(p, cam)
-            q = backproject_pixel((x, y), p.z, cam)
-            worst = max(worst, float(np.max(np.abs(p.as_array() - q.as_array()))))
+            q = backproject_pixel((x, y), p[2], cam)
+            worst = max(worst, float(np.max(np.abs(p - q))))
         elapsed = time.perf_counter() - t0
         assert worst < 1e-9, f"round-trip error {worst}"
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -229,7 +229,7 @@ class TestCriterion6MatchingOracle:
             assert seen == expected, f"seed {seed}: partition violated"
             for c in combos:
                 if c.size >= 2:
-                    pts = [c.centers[v].as_array() for v in sorted(c.members)]
+                    pts = [c.centers[v] for v in sorted(c.members)]
                     worst = max(np.linalg.norm(a - b)
                                 for a, b in itertools.combinations(pts, 2))
                     assert worst <= t + 1e-12, f"seed {seed}: threshold violated"

@@ -202,7 +202,7 @@ class TestFuse:
                    "--out-pose", str(pose)])
         assert rc == 0
         doc = json.loads(pose.read_text())
-        gt = scene.joints3d[0]["head"].as_array()
+        gt = scene.joints3d[0]["head"]
         got = np.array(doc["joints_m"]["head"])
         assert np.linalg.norm(gt - got) < 0.5
 
@@ -309,6 +309,17 @@ class TestMalformedInputs:
         err = self._fuse_error(scene_dir, tmp_path, capsys)
         assert str(scene_dir / "scene.json") in err and field in err
 
+    @pytest.mark.parametrize("raw", ["[0.1, 0.2]", '"abc"', "null", "[0.1, NaN, 0.3]",
+                                     "[0.1, 1e400, 0.3]"],
+                             ids=["two_numbers", "string", "null", "nan", "1e400"])
+    def test_scene_joint3d_not_three_finite_numbers(self, dataset, tmp_path, capsys, raw):
+        scene_dir = self._mutated_scene(
+            dataset, tmp_path, lambda doc: doc["persons"][0]["joints3d"].update(head="@"))
+        path = scene_dir / "scene.json"
+        path.write_text(path.read_text().replace('"@"', raw))
+        err = self._fuse_error(scene_dir, tmp_path, capsys)
+        assert str(path) in err and "joints3d.head" in err
+
     def test_scene_file_with_non_ascii_byte(self, dataset, tmp_path, capsys):
         scene_dir = self._mutated_scene(dataset, tmp_path, lambda doc: None)
         path = scene_dir / "scene.json"
@@ -367,6 +378,20 @@ class TestMalformedInputs:
                    "--checkpoint", str(tmp_path / "m.ckpt")])
         assert rc == 1
         assert next(iter(doc)) in self._error_line(capsys)
+
+    @pytest.mark.parametrize("no_augment", [[], ["--no-augment"]], ids=["augment", "no_augment"])
+    @pytest.mark.parametrize("doc", [{"flip_prob": 2.0}, {"crop_h": -3}, {"jitter_low": 5.0}],
+                             ids=["flip_prob_2", "crop_h_negative", "jitter_low_above_high"])
+    def test_train_config_augmentation_out_of_range(self, tmp_path, capsys, doc, no_augment):
+        # rejected while the config is built: the dataset, which does not
+        # exist, is never read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "missing"),
+                   *no_augment, "--checkpoint", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(cfg) in err and next(iter(doc)).split("_")[0] in err
 
     @pytest.mark.parametrize("command", [
         ["synth-gen", "--out", "{tmp}/x", "--seed", "-1", "--image-h", "16", "--image-w", "20"],

@@ -107,8 +107,8 @@ class TestSceneIO:
             p.write_bytes(raw[:8] + vals.astype("<f4").tobytes())
         loaded = load_scene(tmp_path / "s")
         orig = train[0]
-        got = loaded.joints3d[0]["head"].as_array()
-        want = orig.joints3d[0]["head"].as_array()
+        got = loaded.joints3d[0]["head"]
+        want = orig.joints3d[0]["head"]
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
     def test_unknown_units_rejected(self, small_scenes, tmp_path):
@@ -188,8 +188,8 @@ class TestGenerator:
             for person in scene.persons():
                 j = scene.joints3d[person]
                 # reference frame y points roughly downwards: head above neck
-                assert j["head"].y < j["neck"].y
-                assert j["neck"].y < (j["hip_l"].y + j["hip_r"].y) / 2.0
+                assert j["head"][1] < j["neck"][1]
+                assert j["neck"][1] < (j["hip_l"][1] + j["hip_r"][1]) / 2.0
 
     def test_lift_error_within_radius_plus_pixel_footprint(self, small_scenes):
         cfg, train, test = small_scenes
@@ -468,7 +468,7 @@ class TestTargetHeatmaps:
                 for j, name in enumerate(JOINT_NAMES):
                     if any(scene.visibility[(person, v)][name] for v in support):
                         dists.append(float(np.linalg.norm(
-                            centers[j] - scene.joints3d[person][name].as_array())))
+                            centers[j] - scene.joints3d[person][name])))
             assert oracle_fusion_mpjpe(scene)[0] == float(np.mean(dists)) * 100.0
 
     def test_oracle_fusion_stays_under_quantization_bound(self, small_scenes):

@@ -8,9 +8,6 @@ from posefusion import pipeline as P
 from posefusion import tensorgrad as tg
 from posefusion.fusion import (
     JOINT_NAMES,
-    FusionError,
-    Pose3,
-    lift_and_fuse_2d,
     pose_distances,
     round_half_up,
     soft_center,
@@ -19,7 +16,6 @@ from posefusion.fusion import (
 )
 from posefusion.geometry import (
     Camera,
-    Point3,
     RigidTransform,
     backproject_grid,
     backproject_pixel,
@@ -30,10 +26,11 @@ from posefusion.heatmap import DEFAULT_EPSILON, BoundingBox, DepthImage, valid_p
 EPS = DEFAULT_EPSILON
 
 
-def _pose(person, **overrides):
-    joints = {name: None for name in JOINT_NAMES}
-    joints.update(overrides)
-    return Pose3(person=person, joints=joints)
+def _pose(**joints):
+    """A pose with the given joints as (3,) arrays; every other joint absent."""
+    pose = {name: None for name in JOINT_NAMES}
+    pose.update({name: np.array(p, dtype=float) for name, p in joints.items()})
+    return pose
 
 
 def _soft_center_vjp(acts_per_view, coords_per_view, g):
@@ -199,37 +196,37 @@ class TestMpjpe:
     """pose_distances, the per-joint distances evaluation scores."""
 
     def test_exact_match_is_zero(self):
-        a = _pose(0, head=Point3(1, 2, 3))
-        assert pose_distances([a], [a]) == {(0, "head"): 0.0}
+        a = _pose(head=(1, 2, 3))
+        assert pose_distances(a, a) == {"head": 0.0}
 
     def test_3_4_5_triangle_in_cm(self):
-        pred = _pose(0, head=Point3(0.03, 0.04, 0.0))
-        ref = _pose(0, head=Point3(0.0, 0.0, 0.0))
-        assert pose_distances([pred], [ref])[(0, "head")] * 100 == pytest.approx(5.0, abs=1e-12)
+        pred = _pose(head=(0.03, 0.04, 0.0))
+        ref = _pose(head=(0.0, 0.0, 0.0))
+        assert pose_distances(pred, ref)["head"] * 100 == pytest.approx(5.0, abs=1e-12)
 
     def test_mean_over_persons_and_joints(self):
-        # distances 1, 2, 3, 4 cm, keyed by person and joint
+        # distances 1, 2, 3, 4 cm; evaluation keys each person's by person
         pred = [
-            _pose(0, head=Point3(0.01, 0, 0), neck=Point3(0, 0.02, 0)),
-            _pose(1, head=Point3(0, 0, 0.03), neck=Point3(0.04, 0, 0)),
-            _pose(2, head=Point3(9, 9, 9)),  # no reference: not scored
+            _pose(head=(0.01, 0, 0), neck=(0, 0.02, 0)),
+            _pose(head=(0, 0, 0.03), neck=(0.04, 0, 0)),
         ]
         ref = [
-            _pose(0, head=Point3(0, 0, 0), neck=Point3(0, 0, 0)),
-            _pose(1, head=Point3(0, 0, 0), neck=Point3(0, 0, 0)),
+            _pose(head=(0, 0, 0), neck=(0, 0, 0)),
+            _pose(head=(0, 0, 0), neck=(0, 0, 0)),
         ]
-        d = pose_distances(pred, ref)
+        d = {(person, name): dist for person in (0, 1)
+             for name, dist in pose_distances(pred[person], ref[person]).items()}
         assert sorted(d) == [(0, "head"), (0, "neck"), (1, "head"), (1, "neck")]
         np.testing.assert_allclose([d[k] for k in sorted(d)], [0.01, 0.02, 0.03, 0.04], atol=1e-15)
         assert np.mean(list(d.values())) * 100 == pytest.approx(2.5, abs=1e-12)
 
     def test_only_jointly_present_joints_scored(self):
-        pred = _pose(0, head=Point3(0.01, 0, 0), neck=Point3(5, 5, 5))
-        ref = _pose(0, head=Point3(0, 0, 0))  # neck absent in reference
-        assert pose_distances([pred], [ref]) == {(0, "head"): pytest.approx(0.01, abs=1e-15)}
+        pred = _pose(head=(0.01, 0, 0), neck=(5, 5, 5))
+        ref = _pose(head=(0, 0, 0))  # neck absent in reference
+        assert pose_distances(pred, ref) == {"head": pytest.approx(0.01, abs=1e-15)}
 
     def test_zero_scorable_joints_is_undefined(self):
-        assert pose_distances([_pose(0)], [_pose(0, head=Point3(0, 0, 0))]) == {}
+        assert pose_distances(_pose(), _pose(head=(0, 0, 0))) == {}
 
 
 class TestCom2d:
@@ -319,9 +316,8 @@ def _reference_baseline_pose(scene, person, forwards):
             z = float(sv.depth.raster[py, px])
             if z <= 0.0:
                 continue
-            point = transform_point(backproject_pixel((px, py), z, sv.camera),
-                                    sv.camera.to_reference)
-            candidates.append(point.as_array())
+            candidates.append(transform_point(backproject_pixel((px, py), z, sv.camera),
+                                              sv.camera.to_reference))
             values.append(float(raster[j, py, px]))
         fused[name] = (soft_center(np.asarray(values), np.asarray(candidates))[0]
                        if candidates else None)
@@ -329,9 +325,9 @@ def _reference_baseline_pose(scene, person, forwards):
 
 
 class TestLiftAndFuse2d:
-    """Baseline-2d lifting: each view's 2D centres are read at their
-    nearest pixels (``pipeline._lift_centers_2d``), and per joint the views
-    with known depth there are fused (``lift_and_fuse_2d``)."""
+    """Baseline-2d lifting (``pipeline.lift_and_fuse_2d``): each view's 2D
+    centres are read at their nearest pixels, and per joint the views
+    with known depth there are fused."""
 
     CAMS = (
         Camera(id=0, fx=10.0, fy=10.0, cx=2.0, cy=2.0),
@@ -351,38 +347,51 @@ class TestLiftAndFuse2d:
         return P.ViewForward(v, acts, rows, valid, cloud), depth
 
     @staticmethod
-    def _lift(views, head):
-        """Lift every view with the head's 2D centre at ``head`` and the
-        other joints' at pixel (2, 2); the stacked per-view arrays."""
+    def _fuse(views, head):
+        """Fuse every view with the head's 2D centre at ``head`` and the
+        other joints' at pixel (2, 2)."""
         coms = np.full((len(JOINT_NAMES), 2), 2.0)
         coms[0] = head
-        lifted = [P._lift_centers_2d(f, coms, depth) for f, depth in views]
-        return tuple(np.stack(arrays, axis=1) for arrays in zip(*lifted))
+        return P.lift_and_fuse_2d([f for f, _ in views], [coms] * len(views),
+                                  [depth for _, depth in views])
 
     def _head(self, views, head):
-        fused = lift_and_fuse_2d(0, *self._lift(views, head))
-        return None if fused is None else fused.joints["head"]
+        fused = self._fuse(views, head)
+        return None if fused is None else fused["head"]
+
+    @staticmethod
+    def _softmax_inputs(monkeypatch):
+        """Record the (activations, points) each fused joint's softmax
+        receives, in joint order."""
+        calls = []
+
+        def spy(values, points):
+            calls.append((values, points))
+            return soft_center(values, points)
+
+        monkeypatch.setattr(P, "soft_center", spy)
+        return calls
 
     def test_single_view_returns_lifted_point(self):
         head = self._head([self._view(0, np.full((5, 5), 2.0))], (3.0, 2.0))
-        np.testing.assert_allclose([head.x, head.y, head.z], [0.2, 0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(head, [0.2, 0.0, 2.0], atol=1e-12)
 
     def test_two_views_equal_values_give_midpoint(self):
         views = [self._view(0, np.full((5, 5), 2.0)), self._view(1, np.full((5, 5), 2.0))]
         head = self._head(views, (2.0, 2.0))
         # view 0 lifts to (0,0,2); view 1 to (0.5,0,2); equal weights -> midpoint
-        np.testing.assert_allclose([head.x, head.y, head.z], [0.25, 0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(head, [0.25, 0.0, 2.0], atol=1e-12)
 
-    def test_unknown_depth_drops_view(self):
+    def test_unknown_depth_drops_view(self, monkeypatch):
         # view 1 fuses every other pixel, but its depth is unknown at the
         # predicted one
         hole = np.full((5, 5), 2.0)
         hole[2, 2] = 0.0
         views = [self._view(0, np.full((5, 5), 2.0)), self._view(1, hole)]
-        values, points, known = self._lift(views, (2.0, 2.0))
-        np.testing.assert_array_equal(known[0], [True, False])
-        head = lift_and_fuse_2d(0, values, points, known).joints["head"]
-        np.testing.assert_allclose([head.x, head.y, head.z], [0.0, 0.0, 2.0], atol=1e-12)
+        calls = self._softmax_inputs(monkeypatch)
+        head = self._head(views, (2.0, 2.0))
+        assert calls[0][0].size == 1  # the head fuses view 0 only
+        np.testing.assert_allclose(head, [0.0, 0.0, 2.0], atol=1e-12)
 
     def test_all_views_dropped_gives_absent(self):
         # every joint's predicted pixel is (2, 2), where no view knows the depth
@@ -394,33 +403,30 @@ class TestLiftAndFuse2d:
         # a box over unknown depth only: the view's 2D centre is the grid
         # centre, where its depth is known, yet it lifts nothing
         empty = self._view(1, np.full((5, 5), 2.0), valid=np.zeros((5, 5), dtype=bool))
-        values, points, known = self._lift([empty], (2.0, 2.0))
-        assert not known.any()
-        assert lift_and_fuse_2d(0, values, points, known) is None
+        assert self._fuse([empty], (2.0, 2.0)) is None
         head = self._head([self._view(0, np.full((5, 5), 2.0)), empty], (2.0, 2.0))
-        np.testing.assert_allclose([head.x, head.y, head.z], [0.0, 0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(head, [0.0, 0.0, 2.0], atol=1e-12)
 
     def test_rounding_indexes_nearest_pixel(self):
         raster = np.full((5, 5), 2.0)
         raster[2, 3] = 1.0
         raster[4, 0] = 3.0
         view = self._view(0, raster)
-        assert self._head([view], (2.6, 2.4)).z == pytest.approx(1.0)  # pixel (3, 2)
-        assert self._head([view], (2.5, 1.5)).z == pytest.approx(1.0)  # halves round up
-        assert self._head([view], (-3.0, 7.0)).z == pytest.approx(3.0)  # clamped to (0, 4)
+        assert self._head([view], (2.6, 2.4))[2] == pytest.approx(1.0)  # pixel (3, 2)
+        assert self._head([view], (2.5, 1.5))[2] == pytest.approx(1.0)  # halves round up
+        assert self._head([view], (-3.0, 7.0))[2] == pytest.approx(3.0)  # clamped to (0, 4)
 
-    def test_pixel_outside_the_fused_pixels_reads_epsilon(self):
+    def test_pixel_outside_the_fused_pixels_reads_epsilon(self, monkeypatch):
         # view 1 knows the depth everywhere but fuses only pixel 0, so the
         # predicted pixel reads ε and its weight underflows beside view 0's
         views = [self._view(0, np.full((5, 5), 2.0)), self._view(1, np.full((5, 5), 2.0), [0])]
-        values, points, known = self._lift(views, (2.0, 2.0))
-        np.testing.assert_array_equal(values[0], [1.0, EPS])
-        np.testing.assert_array_equal(known[0], [True, True])
-        head = lift_and_fuse_2d(0, values, points, known).joints["head"]
-        np.testing.assert_allclose([head.x, head.y, head.z], [0.0, 0.0, 2.0], atol=1e-12)
+        calls = self._softmax_inputs(monkeypatch)
+        head = self._head(views, (2.0, 2.0))
+        np.testing.assert_array_equal(calls[0][0], [1.0, EPS])  # both views count
+        np.testing.assert_allclose(head, [0.0, 0.0, 2.0], atol=1e-12)
         # alone, the ε view still gives its lifted point
         head = self._head(views[1:], (2.0, 2.0))
-        np.testing.assert_allclose([head.x, head.y, head.z], [0.5, 0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(head, [0.5, 0.0, 2.0], atol=1e-12)
 
     def test_matches_the_raster_path_on_occlusion_scenes(self):
         # the cloud and backproject_pixel + transform_point group their
@@ -451,10 +457,10 @@ class TestLiftAndFuse2d:
                         assert pose is None
                         continue
                     for name in JOINT_NAMES:
-                        got = pose.joints[name]
+                        got = pose[name]
                         assert (got is None) == (ref[name] is None)
                         if got is not None:
-                            err = np.linalg.norm(got.as_array() - ref[name])
+                            err = np.linalg.norm(got - ref[name])
                             assert err <= 1e-12 * np.linalg.norm(ref[name])
                             checked += 1
         assert checked > 100
@@ -476,7 +482,7 @@ class TestHeatmapToMetricChain:
         fixed = {v: make_target_heatmaps(scene, v, person, sigma=1.5, amplitude=2.0)
                  for v in support}
         gt = scene.gt_pose3(person)
-        targets = {j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)}
+        targets = {j: gt[name] for j, name in enumerate(JOINT_NAMES)}
 
         def fn(tape, var):
             tensors, coords = [], []
@@ -505,7 +511,3 @@ def test_pixel_coordinates_layout():
         f.pixels, [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
     )
 
-
-def test_pose_validation():
-    with pytest.raises(FusionError):
-        Pose3(person=0, joints={"head": Point3(0, 0, 0)})

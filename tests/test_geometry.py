@@ -7,7 +7,6 @@ from posefusion.geometry import (
     BehindCameraError,
     Camera,
     GeometryError,
-    Point3,
     RigidTransform,
     backproject_grid,
     backproject_pixel,
@@ -28,18 +27,18 @@ def _cam(fx=500.0, fy=500.0, cx=160.0, cy=120.0):
 class TestBackprojection:
     def test_principal_point_goes_to_optical_axis(self):
         p = backproject_pixel((160, 120), 2.0, _cam())
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 2.0)
+        assert tuple(p) == (0.0, 0.0, 2.0)
 
     def test_zero_depth_collapses_to_origin(self):
         p = backproject_pixel((37, 99), 0.0, _cam())
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 0.0)
+        assert tuple(p) == (0.0, 0.0, 0.0)
 
     def test_hand_computed_offset_pixel(self):
         # depth * (x - cx) / fx = 2.0 * 100 / 500 = 0.4
         p = backproject_pixel((260, 120), 2.0, _cam())
-        assert p.x == pytest.approx(0.4, abs=1e-15)
-        assert p.y == pytest.approx(0.0, abs=1e-15)
-        assert p.z == 2.0
+        assert p[0] == pytest.approx(0.4, abs=1e-15)
+        assert p[1] == pytest.approx(0.0, abs=1e-15)
+        assert p[2] == 2.0
 
     def test_non_finite_depth_rejected(self):
         with pytest.raises(GeometryError):
@@ -55,52 +54,52 @@ class TestBackprojection:
         pts = backproject_grid(depth, cam).reshape(8, 10, 3)
         for (r, c) in [(0, 0), (3, 7), (7, 9)]:
             expected = backproject_pixel((c, r), depth[r, c], cam)
-            np.testing.assert_allclose(pts[r, c], expected.as_array(), atol=1e-15)
+            np.testing.assert_allclose(pts[r, c], expected, atol=1e-15)
 
 
 class TestProjection:
     def test_optical_axis_hits_principal_point(self):
-        assert project_point(Point3(0.0, 0.0, 3.0), _cam()) == (160.0, 120.0)
+        assert project_point(np.array([0.0, 0.0, 3.0]), _cam()) == (160.0, 120.0)
 
     def test_inverse_of_backprojection_example(self):
-        x, y = project_point(Point3(0.4, 0.0, 2.0), _cam())
+        x, y = project_point(np.array([0.4, 0.0, 2.0]), _cam())
         assert x == pytest.approx(260.0, abs=1e-12)
         assert y == pytest.approx(120.0, abs=1e-12)
 
     def test_behind_camera_rejected(self):
         with pytest.raises(BehindCameraError):
-            project_point(Point3(0.1, 0.2, 0.0), _cam())
+            project_point(np.array([0.1, 0.2, 0.0]), _cam())
         with pytest.raises(BehindCameraError):
-            project_point(Point3(0.1, 0.2, -1.0), _cam())
+            project_point(np.array([0.1, 0.2, -1.0]), _cam())
 
     def test_round_trip_1000_random_points(self, rng):
         cam = _cam(fx=420.0, fy=380.0, cx=161.3, cy=119.2)
         worst = 0.0
         for _ in range(1000):
-            p = Point3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 5.0))
+            p = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 5.0)])
             x, y = project_point(p, cam)
-            q = backproject_pixel((x, y), p.z, cam)
-            worst = max(worst, np.max(np.abs(p.as_array() - q.as_array())))
+            q = backproject_pixel((x, y), p[2], cam)
+            worst = max(worst, np.max(np.abs(p - q)))
         assert worst < 1e-9
 
 
 class TestRigidTransform:
     def test_identity_leaves_points_unchanged(self):
         t = RigidTransform.identity()
-        p = Point3(0.3, -0.7, 2.2)
+        p = np.array([0.3, -0.7, 2.2])
         q = transform_point(p, t)
-        assert (q.x, q.y, q.z) == (p.x, p.y, p.z)
+        assert tuple(q) == tuple(p)
 
     def test_pure_translation(self):
         t = RigidTransform.from_rotation_translation(np.eye(3), [1.0, 2.0, 3.0])
-        q = transform_point(Point3(0.0, 0.0, 0.0), t)
-        assert (q.x, q.y, q.z) == (1.0, 2.0, 3.0)
+        q = transform_point(np.zeros(3), t)
+        assert tuple(q) == (1.0, 2.0, 3.0)
 
     def test_90_degree_rotation_about_z(self):
         rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         t = RigidTransform.from_rotation_translation(rz, [0.0, 0.0, 0.0])
-        q = transform_point(Point3(1.0, 0.0, 0.0), t)
-        np.testing.assert_allclose([q.x, q.y, q.z], [0.0, 1.0, 0.0], atol=1e-12)
+        q = transform_point(np.array([1.0, 0.0, 0.0]), t)
+        np.testing.assert_allclose(q, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_invert_identity_and_translation(self):
         assert invert_transform(RigidTransform.identity()).is_identity()
@@ -146,7 +145,3 @@ class TestRigidTransform:
             Camera(id=0, fx=-1.0, fy=500.0, cx=0.0, cy=0.0)
         with pytest.raises(GeometryError):
             Camera(id=0, fx=500.0, fy=0.0, cx=0.0, cy=0.0)
-
-    def test_point_validation(self):
-        with pytest.raises(GeometryError):
-            Point3(0.0, float("nan"), 1.0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from posefusion.geometry import Camera, Point3, RigidTransform
+from posefusion.geometry import Camera, RigidTransform
 from posefusion.heatmap import BoundingBox, DepthImage
 from posefusion.matching import (
     BoxCombination,
@@ -59,7 +59,7 @@ def brute_force_match(centers, t):
 
 
 def _as_points(centers):
-    return {v: [None if c is None else Point3(*c) for c in pts]
+    return {v: [None if c is None else np.array(c) for c in pts]
             for v, pts in centers.items()}
 
 
@@ -75,7 +75,7 @@ class TestLiftBoxCenter:
         depth = DepthImage(view=0, raster=np.full((9, 9), 2.5))
         box = _box(0, 0, 3, 3, 5, 5)  # centre pixel (4, 4) = principal point
         p = lift_box_center(box, depth, self._cam())
-        np.testing.assert_allclose([p.x, p.y, p.z], [0.0, 0.0, 2.5], atol=1e-12)
+        np.testing.assert_allclose(p, [0.0, 0.0, 2.5], atol=1e-12)
 
     def test_median_fallback_on_unknown_center_depth(self):
         raster = np.full((9, 9), 3.0)
@@ -83,7 +83,7 @@ class TestLiftBoxCenter:
         depth = DepthImage(view=0, raster=raster)
         box = _box(0, 0, 3, 3, 6, 6)
         p = lift_box_center(box, depth, self._cam())
-        assert p.z == pytest.approx(3.0)
+        assert p[2] == pytest.approx(3.0)
 
     def test_unliftable_box_raises(self):
         depth = DepthImage(view=0, raster=np.zeros((9, 9)))
@@ -96,7 +96,7 @@ class TestLiftBoxCenter:
                          np.eye(3), [1.0, 0.0, 0.0]))
         depth = DepthImage(view=1, raster=np.full((9, 9), 2.0))
         p = lift_box_center(_box(1, 0, 3, 3, 5, 5), depth, cam)
-        np.testing.assert_allclose([p.x, p.y, p.z], [1.0, 0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(p, [1.0, 0.0, 2.0], atol=1e-12)
 
     def test_same_person_centres_within_02m_on_controlled_body(self):
         # a single torso sphere observed by the standard camera ring: each
@@ -108,7 +108,7 @@ class TestLiftBoxCenter:
 
         cfg = SynthConfig()
         world_poses, cams = _camera_rig(cfg)
-        centre_world = Point3(0.1, 1.2, -0.05)
+        centre_world = np.array([0.1, 1.2, -0.05])
         radius = cfg.joint_radius
         centres = []
         for pose, cam in zip(world_poses, cams):
@@ -116,10 +116,10 @@ class TestLiftBoxCenter:
             px, py = project_point(pc, cam)
             xi, yi = round_half_up(px), round_half_up(py)
             raster = np.full((cfg.image_h, cfg.image_w), 5.0)
-            raster[yi - 4:yi + 5, xi - 4:xi + 5] = pc.z - radius  # front face
+            raster[yi - 4:yi + 5, xi - 4:xi + 5] = pc[2] - radius  # front face
             depth = DepthImage(view=cam.id, raster=raster)
             box = _box(cam.id, 0, xi - 4, yi - 4, xi + 5, yi + 5)
-            centres.append(lift_box_center(box, depth, cam).as_array())
+            centres.append(lift_box_center(box, depth, cam))
         for a, b in itertools.combinations(centres, 2):
             assert np.linalg.norm(a - b) < 0.2
 
@@ -136,8 +136,7 @@ class TestLiftBoxCenter:
                 centres = []
                 for sv in scene.views:
                     if person in sv.boxes:
-                        centres.append(lift_box_center(
-                            sv.boxes[person], sv.depth, sv.camera).as_array())
+                        centres.append(lift_box_center(sv.boxes[person], sv.depth, sv.camera))
                 dists += [np.linalg.norm(a - b)
                           for a, b in itertools.combinations(centres, 2)]
         assert len(dists) >= 10
@@ -180,7 +179,7 @@ class TestMatchCenters:
             assert sorted(seen) == sorted(expected)
             for c in combos:
                 if c.size >= 2:
-                    pts = [c.centers[v].as_array() for v in c.members]
+                    pts = [c.centers[v] for v in c.members]
                     dmax = max(np.linalg.norm(a - b)
                                for a, b in itertools.combinations(pts, 2))
                     assert dmax <= 0.9 + 1e-12
@@ -209,7 +208,7 @@ class TestMatchCenters:
             assert got == want, f"seed {seed}: {got} != {want}"
 
     def test_unliftable_centres_become_singletons(self):
-        centers = {0: [Point3(0, 0, 2.0), None], 1: [Point3(0, 0, 2.0)]}
+        centers = {0: [np.array([0, 0, 2.0]), None], 1: [np.array([0, 0, 2.0])]}
         combos = match_centers(centers, MatchConfig(t=0.75))
         sizes = sorted(c.size for c in combos)
         assert sizes == [1, 2]
@@ -229,7 +228,7 @@ class TestEvaluateMatching:
         boxes = {v: [_box(v, 0, 2, 2, 10, 12)] for v in range(3)}
         annotated = {0: {v: boxes[v][0] for v in range(3)}}
         combos = [BoxCombination(members={0: 0, 1: 0, 2: 0},
-                                 centers={v: Point3(0, 0, 2) for v in range(3)},
+                                 centers={v: np.array([0, 0, 2.0]) for v in range(3)},
                                  mean_distance=0.0)]
         return combos, annotated, boxes
 
@@ -256,7 +255,7 @@ class TestEvaluateMatching:
         }
         annotated = {0: {v: _box(v, 0, 0, 0, 8, 8) for v in range(3)}}
         combos = [BoxCombination(members={0: 0, 1: 0, 2: 0},
-                                 centers={v: Point3(0, 0, 2) for v in range(3)},
+                                 centers={v: np.array([0, 0, 2.0]) for v in range(3)},
                                  mean_distance=0.0)]
         result = evaluate_matching(combos, annotated, boxes)
         assert result[0][1] == pytest.approx((1.0 + 1.0 + 1.0 / 3.0) / 3.0)

@@ -291,8 +291,7 @@ def _targets(scene, person, views, mode):
     """The targets P._person_loss_3d / _person_loss_2d score."""
     if mode == "proposed-3d":
         gt = scene.gt_pose3(person)
-        return [{j: gt.joints[name].as_array() for j, name in enumerate(JOINT_NAMES)
-                 if gt.joints[name] is not None}]
+        return [{j: gt[name] for j, name in enumerate(JOINT_NAMES) if gt[name] is not None}]
     refs = [scene.gt_pose2(person, v) for v in views]
     return [{j: np.asarray(ref[name]) for j, name in enumerate(JOINT_NAMES)
              if ref[name] is not None} for ref in refs]
@@ -456,6 +455,17 @@ class TestTraining:
             TrainConfig(epochs=0)
         with pytest.raises(PipelineError):
             TrainConfig.from_dict({"mode": "proposed-3d", "bogus": 1})
+
+    @pytest.mark.parametrize("doc", [
+        {"flip_prob": 2.0}, {"flip_prob": -0.1}, {"crop_h": -3}, {"crop_w": 0},
+        {"rot_deg_max": -1.0}, {"jitter_low": 5.0}, {"jitter_low": 0.0},
+        {"flip_prob": 2.0, "crop_h": -3, "jitter_low": 5.0},
+    ])
+    def test_config_rejects_augmentation_out_of_range(self, doc):
+        # with or without augmentation, and naming the config's source
+        for augment in (True, False):
+            with pytest.raises(PipelineError, match="^cfg.json: "):
+                TrainConfig.from_dict({**doc, "augment": augment}, "cfg.json")
 
 
 class TestEvaluation:
