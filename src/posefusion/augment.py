@@ -129,7 +129,10 @@ def sample_augmentation(config: AugmentationConfig, rng) -> AugmentationRecord:
 
 
 def _grey(colour: np.ndarray) -> np.ndarray:
-    return 0.299 * colour[0] + 0.587 * colour[1] + 0.114 * colour[2]
+    grey = 0.299 * colour[0]
+    grey += 0.587 * colour[1]
+    grey += 0.114 * colour[2]
+    return grey
 
 
 def _apply_jitter(colour: np.ndarray, jitter, contrast_mean) -> np.ndarray:
@@ -139,17 +142,20 @@ def _apply_jitter(colour: np.ndarray, jitter, contrast_mean) -> np.ndarray:
     brightness, contrast, saturation = jitter
     out = colour * brightness
     if contrast != 1.0:
-        out = out * contrast + (1.0 - contrast) * contrast_mean
+        out *= contrast
+        out += (1.0 - contrast) * contrast_mean
     if saturation != 1.0:
         grey = _grey(out)
-        out = out * saturation + (1.0 - saturation) * grey[None, :, :]
-    return np.clip(out, 0.0, 1.0)
+        grey *= 1.0 - saturation
+        out *= saturation
+        out += grey
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _rotation_sources(h: int, w: int, deg: float, ys: np.ndarray, xs: np.ndarray):
-    """Source sampling positions of output pixels (ys, xs) when content
-    rotates by ``deg`` about the centre of an (h, w) image: each output
-    pixel samples the input at minus ``deg``."""
+    """Source sampling positions of output pixels (ys, xs), which
+    broadcast, when content rotates by ``deg`` about the centre of an
+    (h, w) image: each output pixel samples the input at minus ``deg``."""
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(deg)
     cos, sin = math.cos(rad), math.sin(rad)
@@ -170,48 +176,65 @@ class _WindowWarp:
         wr, wc, self.wh, self.ww = window
         self.top, self.left = r0 + wr, c0 + wc
         if rec.rotation_deg != 0.0:
-            ys, xs = np.mgrid[self.top:self.top + self.wh, self.left:self.left + self.ww]
-            self.sx, self.sy = _rotation_sources(rec.image_h, rec.image_w,
-                                                 rec.rotation_deg, ys, xs)
+            self.sx, self.sy = _rotation_sources(
+                rec.image_h, rec.image_w, rec.rotation_deg,
+                np.arange(self.top, self.top + self.wh)[:, None],
+                np.arange(self.left, self.left + self.ww))
 
     def sample(self, channels: np.ndarray, bilinear: bool, fill: float,
                pointwise=None) -> np.ndarray:
         """Warp a (C, H, W) stack. Pixels rotated in from outside the image
         take ``fill``. ``pointwise`` maps source pixels before they are
         sampled; it runs only on the part of the image the window reads."""
-        rec = self.rec
-        if rec.flip:
-            channels = channels[:, :, ::-1]
-        h, w = rec.image_h, rec.image_w
-        if rec.rotation_deg == 0.0:
+        if self.rec.rotation_deg == 0.0:
+            if self.rec.flip:
+                channels = channels[:, :, ::-1]
             src = channels[:, self.top:self.top + self.wh, self.left:self.left + self.ww]
             return pointwise(src) if pointwise is not None else src.copy()
-        sx, sy = self.sx, self.sy
-        if bilinear:
-            inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-            x0 = np.clip(np.floor(sx), 0, w - 2).astype(np.intp)
-            y0 = np.clip(np.floor(sy), 0, h - 2).astype(np.intp)
-            fx, fy = sx - x0, sy - y0
-            if pointwise is not None:
-                y_lo, x_lo = y0.min(), x0.min()
-                channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
-                y0, x0 = y0 - y_lo, x0 - x_lo
-            # gather by flat index: faster than one index array per axis
-            row = channels.shape[2]
-            flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
-            i = y0 * row + x0
-            v = (np.take(flat, i, axis=1) * ((1 - fx) * (1 - fy))
-                 + np.take(flat, i + 1, axis=1) * (fx * (1 - fy))
-                 + np.take(flat, i + row, axis=1) * ((1 - fx) * fy)
-                 + np.take(flat, i + (row + 1), axis=1) * (fx * fy))
-        else:
-            xn = np.rint(sx).astype(np.intp)
-            yn = np.rint(sy).astype(np.intp)
-            inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
-            flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
-            src = np.take(flat, np.clip(yn, 0, h - 1) * w + np.clip(xn, 0, w - 1), axis=1)
-            v = pointwise(src) if pointwise is not None else src
+        v, inside = (self._bilinear if bilinear else self._nearest)(channels, pointwise)
         return np.where(inside, v, fill)
+
+    def _bilinear(self, channels: np.ndarray, pointwise) -> tuple:
+        h, w = self.rec.image_h, self.rec.image_w
+        sx, sy = self.sx, self.sy
+        if self.rec.flip:
+            channels = channels[:, :, ::-1]
+        inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
+        x0 = np.minimum(np.maximum(np.floor(sx), 0), w - 2).astype(np.intp)
+        y0 = np.minimum(np.maximum(np.floor(sy), 0), h - 2).astype(np.intp)
+        fx, fy = sx - x0, sy - y0
+        wx0, wy0 = 1 - fx, 1 - fy
+        if pointwise is not None:
+            y_lo, x_lo = y0.min(), x0.min()
+            channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
+            y0 -= y_lo
+            x0 -= x_lo
+        # gather by flat index: faster than one index array per axis
+        row = channels.shape[2]
+        flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
+        i = y0 * row
+        i += x0
+        v = np.take(flat, i, axis=1) * (wx0 * wy0)
+        i += 1
+        v += np.take(flat, i, axis=1) * (fx * wy0)
+        i += row - 1
+        v += np.take(flat, i, axis=1) * (wx0 * fy)
+        i += 1
+        v += np.take(flat, i, axis=1) * (fx * fy)
+        return v, inside
+
+    def _nearest(self, channels: np.ndarray, pointwise) -> tuple:
+        h, w = self.rec.image_h, self.rec.image_w
+        xn = np.rint(self.sx).astype(np.intp)
+        yn = np.rint(self.sy).astype(np.intp)
+        inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
+        i = np.minimum(np.maximum(yn, 0), h - 1) * w
+        xn = np.minimum(np.maximum(xn, 0), w - 1)
+        # a flipped image is read unflipped, at the mirrored column
+        i += (w - 1) - xn if self.rec.flip else xn
+        flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
+        v = np.take(flat, i, axis=1)
+        return (pointwise(v) if pointwise is not None else v), inside
 
 
 def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
@@ -263,32 +286,41 @@ def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
 @dataclass(frozen=True)
 class InverseWarp:
     """The inverse augmentation as a sparse bilinear gather from a window
-    of the augmented crop: out[:, i] = sum_k wts[i, k] * src[:, idx[i, k]]
+    of the augmented crop: out[:, i] = sum_k wts[k, i] * src[:, idx[k, i]]
     gives the value of original-frame pixel rows[i], with src the window,
     flattened."""
 
     rows: np.ndarray     # (n,) flat original-frame pixels the map produces
-    idx: np.ndarray      # (n, taps) flat indices into the window
-    wts: np.ndarray      # (n, taps)
+    idx: np.ndarray      # (taps, n) flat indices into the window
+    wts: np.ndarray      # (taps, n)
     window: tuple        # (row, col, height, width) within the crop
 
     def gather(self, src_flat: np.ndarray) -> np.ndarray:
-        """src_flat: (C, window size) -> (C, n), the values at ``rows``."""
-        v = src_flat[:, self.idx[:, 0]] * self.wts[:, 0]
-        for k in range(1, self.idx.shape[1]):
-            v += src_flat[:, self.idx[:, k]] * self.wts[:, k]
+        """src_flat: (C, window size) -> (C, n), the values at ``rows``.
+
+        The layout is that of ``src_flat[:, idx]``: an F-contiguous array
+        with strides (8, 8 C), the transpose of an (n, C) array. It is
+        part of the bits fusion sees. Fusion's products take their BLAS
+        path from that layout, and a C-contiguous (C, n) result, such as
+        ``np.take(src_flat, idx, axis=1)`` gives, can differ from them in
+        the last bit."""
+        v = src_flat[:, self.idx[0]] * self.wts[0]
+        for k in range(1, self.idx.shape[0]):
+            v += src_flat[:, self.idx[k]] * self.wts[k]
         return v
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """Transpose of ``gather``: (C, n) -> (C, window size)."""
-        c = g.shape[0]
+        """Transpose of ``gather``: (C, n) -> (C, window size). The flat
+        per-channel indices and weighted cotangents of every tap are built
+        at once; each tap is then one ``bincount``."""
+        taps, c = self.idx.shape[0], g.shape[0]
         size = self.window[2] * self.window[3]
-        chan_base = (np.arange(c, dtype=np.intp) * size)[:, None]
-        acc = np.zeros(c * size)
-        for k in range(self.idx.shape[1]):
-            flat_idx = (chan_base + self.idx[:, k][None, :]).ravel()
-            acc += np.bincount(flat_idx, weights=(g * self.wts[:, k]).ravel(),
-                               minlength=c * size)
+        flat_idx = self.idx[:, None, :] + (np.arange(c, dtype=np.intp) * size)[:, None]
+        weighted = np.empty(flat_idx.shape)
+        np.multiply(g, self.wts[:, None, :], out=weighted)
+        acc = np.bincount(flat_idx[0].ravel(), weighted[0].ravel(), minlength=c * size)
+        for k in range(1, taps):
+            acc += np.bincount(flat_idx[k].ravel(), weighted[k].ravel(), minlength=c * size)
         return acc.reshape(c, size)
 
 
@@ -307,10 +339,10 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
     r0, c0, ch, cw = rec.crop
     q = np.arange(h * w) if keep is None else np.flatnonzero(keep)
     ys, xs = np.divmod(q, w)
-    xs = xs.astype(np.float64)
-    ys = ys.astype(np.float64)
     if rec.flip:
         xs = (w - 1) - xs
+    xs = xs.astype(np.float64)
+    ys = ys.astype(np.float64)
     if rec.rotation_deg != 0.0:
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         rad = math.radians(rec.rotation_deg)
@@ -319,30 +351,34 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
         # content moved by +deg, so original content at q now sits at R(+deg) q
         xs = cos * dx - sin * dy + cx
         ys = sin * dx + cos * dy + cy
-    xs = xs - c0
-    ys = ys - r0
+    xs -= c0
+    ys -= r0
     valid = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
     rows, xs, ys = q[valid], xs[valid], ys[valid]
     if rec.rotation_deg == 0.0:
-        tap_y, tap_x = ys.astype(np.intp)[:, None], xs.astype(np.intp)[:, None]
-        wts = np.ones((rows.size, 1))
+        tap_y, tap_x = ys.astype(np.intp)[None], xs.astype(np.intp)[None]
+        wts = np.ones((1, rows.size))
     else:
-        x0 = np.clip(np.floor(xs), 0, max(cw - 2, 0)).astype(np.intp)
-        y0 = np.clip(np.floor(ys), 0, max(ch - 2, 0)).astype(np.intp)
+        x0 = np.minimum(np.maximum(np.floor(xs), 0), max(cw - 2, 0)).astype(np.intp)
+        y0 = np.minimum(np.maximum(np.floor(ys), 0), max(ch - 2, 0)).astype(np.intp)
         x1 = np.minimum(x0 + 1, cw - 1)
         y1 = np.minimum(y0 + 1, ch - 1)
         fx, fy = xs - x0, ys - y0
-        tap_y = np.stack([y0, y0, y1, y1], axis=1)
-        tap_x = np.stack([x0, x1, x0, x1], axis=1)
-        wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
+        wx0, wy0 = 1 - fx, 1 - fy
+        tap_y = np.array([y0, y0, y1, y1])
+        tap_x = np.array([x0, x1, x0, x1])
+        wts = np.array([wx0 * wy0, fx * wy0, wx0 * fy, fx * fy])
     if not footprint:
         window = (0, 0, ch, cw)
     elif not rows.size:
         window = (0, 0, 0, 0)
     else:
-        top, left = int(tap_y.min()), int(tap_x.min())
-        window = (top, left, int(tap_y.max()) + 1 - top, int(tap_x.max()) + 1 - left)
-    idx = (tap_y - window[0]) * window[3] + (tap_x - window[1])
+        top, left = int(tap_y[0].min()), int(tap_x[0].min())
+        window = (top, left, int(tap_y[-1].max()) + 1 - top, int(tap_x[-1].max()) + 1 - left)
+    idx = tap_y - window[0]
+    idx *= window[3]
+    idx += tap_x
+    idx -= window[1]
     return InverseWarp(rows=rows, idx=idx, wts=wts, window=window)
 
 

@@ -274,8 +274,11 @@ def _shaped(kind, value, context: str):
 
 def _finite_number(value) -> bool:
     """A real number other than a bool that a float holds finitely;
-    abs(v) <= max float also rejects NaN, and ints too large for a float."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+    abs(v) <= max float also rejects NaN, and ints too large for a float.
+    A float skips the abstract-class check, which costs several times
+    more and runs for every coordinate of a scene file."""
+    return ((type(value) is float
+             or isinstance(value, numbers.Real) and not isinstance(value, bool))
             and abs(value) <= sys.float_info.max)
 
 
@@ -372,10 +375,13 @@ def load_scene(directory) -> Scene:
             j2, vis = {}, {}
             for name in JOINT_NAMES:
                 raw = j2_doc.get(name)
-                try:
-                    j2[name] = None if raw is None else (float(raw[0]), float(raw[1]))
-                except (TypeError, ValueError, IndexError) as e:
-                    raise SceneFormatError(f"{ctx}: view {v} joints2d.{name}: {e}") from None
+                if raw is None:
+                    j2[name] = None
+                elif isinstance(raw, list) and len(raw) == 2 and all(map(_finite_number, raw)):
+                    j2[name] = (float(raw[0]), float(raw[1]))
+                else:
+                    raise SceneFormatError(f"{ctx}: view {v} joints2d.{name}: expected null "
+                                           f"or 2 finite numbers, got {raw!r}")
                 vis[name] = bool(vis_doc.get(name, False))
                 if vis[name] and j2[name] is None:
                     raise SceneFormatError(f"{ctx}: view {v} joint '{name}' visible but missing joints2d")

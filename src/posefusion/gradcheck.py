@@ -108,6 +108,21 @@ def op_gradient_errors(seed: int = 0) -> dict:
     other_targets = {1: other.values[1] + _away_from(rng, 2, -1, 1, 0.1)}
     fd("mean_distance",
        lambda tp, v: _mean_distance(tp, [v, other], [targets, other_targets]), pred)
+
+    # 16 input channels: the conv kernel without a patch matrix
+    x16 = Tensor(rng.uniform(-3, 3, size=(16, 5, 6)))
+    w16 = Tensor(rng.uniform(-3, 3, size=(3, 16, 3, 3)))
+    b16 = Tensor(rng.uniform(-3, 3, size=(3,)))
+    r16 = Tensor(rng.uniform(-1, 1, size=(3, 5, 6)))
+
+    def conv16_loss(tp, x, w, b, pad=(1, 1, 1, 1)):
+        y = tg.conv2d(tp, x, w, b, pad)
+        return tg.mean(tp, tg.multiply(tp, y, Tensor(r16.values[:, :y.shape[1], :y.shape[2]])))
+
+    fd("conv2d_x_16ch", lambda tp, v: conv16_loss(tp, v, w16, b16), x16)
+    fd("conv2d_w_16ch", lambda tp, v: conv16_loss(tp, x16, v, b16), w16)
+    fd("conv2d_b_16ch", lambda tp, v: conv16_loss(tp, x16, w16, v), b16)
+    fd("conv2d_x_16ch_pad_0110", lambda tp, v: conv16_loss(tp, v, w16, b16, mixed), x16)
     return errors
 
 

@@ -8,6 +8,18 @@ format, and a finite-difference verification oracle. The fusion chain's
 nodes (inverse warp, soft centres, loss) carry hand-derived adjoints and
 register through ``_result``, as the ops here do.
 
+``conv2d`` computes its image gradient, when an input needs one, as a
+convolution of the zero-padded upstream gradient without a patch
+matrix: the padded array sits in a flat buffer, in which each of the 9
+taps reads a contiguous slice, and the result is 9 small gemms on those
+slices. Its output and weight gradient have two kernels, chosen by the
+input channel count. Below 16 (the predictor's first layer, 5 -> 16)
+each is one gemm against the im2col patch matrix. From 16 each is 9
+gemms on the shifted slices of the padded input. The shifted sums
+regroup the patch-matrix sums: they differ by at most about 2e-15 of the
+largest value in each result (1.8e-15 measured), and the bias gradient
+is the same sum in both.
+
 Everything is float64. NaN or Inf appearing in an op's output raises
 immediately, naming the op.
 """
@@ -177,6 +189,90 @@ def _im2col(x: np.ndarray, pad: tuple) -> np.ndarray:
     return cols.reshape(c * 9, ho * wo)
 
 
+def _pad_flat(x: np.ndarray, pad: tuple) -> tuple:
+    """(C, H, W), zero-padded by pad = (top, bottom, left, right) -> a
+    flat (C, Hp*Wp + 2) buffer of the padded image and its width Wp; the
+    2 trailing zeros let the last tap read a whole slice."""
+    c, h, w = x.shape
+    top, bottom, left, right = pad
+    hp, wp = h + top + bottom, w + left + right
+    flat = np.zeros((c, hp * wp + 2))
+    flat[:, :hp * wp].reshape(c, hp, wp)[:, top:top + h, left:left + w] = x
+    return flat, wp
+
+
+def _shifted_sum(taps: np.ndarray, flat: np.ndarray, wp: int, rows: int) -> np.ndarray:
+    """sum over taps (ki, kj) of taps[3 ki + kj] @ the slice of ``flat``
+    at offset ki*Wp + kj: the 3x3 cross-correlation of the padded image,
+    as (C_out, rows, Wp), whose last 2 columns wrap around."""
+    span = rows * wp
+    out = taps[0] @ flat[:, :span]
+    for k in range(1, 9):
+        off = (k // 3) * wp + k % 3
+        out += taps[k] @ flat[:, off:off + span]
+    return out.reshape(-1, rows, wp)
+
+
+def _image_gradient(g: np.ndarray, weight: np.ndarray, pad: tuple) -> np.ndarray:
+    """The conv's image gradient, itself a stride-1 convolution: that of
+    the upstream gradient, zero-padded by 2 - pad on each side, with the
+    flipped kernel, its in and out channels swapped."""
+    c_out, c_in = weight.shape[:2]
+    top, bottom, left, right = pad
+    h, w = g.shape[1] + 2 - top - bottom, g.shape[2] + 2 - left - right
+    gp, wq = _pad_flat(g, (2 - top, 2 - bottom, 2 - left, 2 - right))
+    flipped = np.ascontiguousarray(weight[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
+    return _shifted_sum(flipped.reshape(9, c_in, c_out), gp, wq, h)[:, :, :w]
+
+
+def _conv_im2col(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, pad: tuple):
+    """Forward and vjp of the conv, the output and weight gradient as one
+    gemm against the patch matrix."""
+    c_out, c_in = weight.shape[:2]
+    cols = _im2col(x, pad)
+    y = weight.reshape(c_out, c_in * 9) @ cols + bias[:, None]
+    ho, wo = x.shape[1] + pad[0] + pad[1] - 2, x.shape[2] + pad[2] + pad[3] - 2
+
+    def vjp(g, need_gx):
+        gmat = g.reshape(c_out, ho * wo)
+        gx = _image_gradient(g, weight, pad) if need_gx else None
+        return gx, (gmat @ cols.T).reshape(weight.shape), gmat.sum(axis=1)
+
+    return y.reshape(c_out, ho, wo), vjp
+
+
+def _conv_shifted(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, pad: tuple):
+    """Forward and vjp of the conv as nine gemms on shifted slices, with
+    no patch matrix. The input is zero-padded once into a flat buffer, in
+    which tap (ki, kj) reads the contiguous slice at offset ki*Wp + kj;
+    each output row so carries 2 wrap-around columns, which are dropped.
+    The weight gradient pairs each tap's slice with the upstream
+    gradient, made zero in the wrap-around columns."""
+    c_out, c_in = weight.shape[:2]
+    ho, wo = x.shape[1] + pad[0] + pad[1] - 2, x.shape[2] + pad[2] + pad[3] - 2
+    xp, wp = _pad_flat(x, pad)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
+    y = _shifted_sum(taps, xp, wp, ho)[:, :, :wo] + bias[:, None, None]
+
+    def vjp(g, need_gx):
+        gx = _image_gradient(g, weight, pad) if need_gx else None
+        g_ext = np.zeros((c_out, ho, wp))
+        g_ext[:, :, :wo] = g
+        g_ext = g_ext.reshape(c_out, ho * wp)
+        gw = np.empty((c_out, c_in, 9))
+        for k in range(9):
+            off = (k // 3) * wp + k % 3
+            gw[:, :, k] = g_ext @ xp[:, off:off + ho * wp].T
+        return gx, gw.reshape(weight.shape), g.reshape(c_out, ho * wo).sum(axis=1)
+
+    return y, vjp
+
+
+# With 5 input channels the shifted slices measured 1.4-2.3x slower than
+# the patch matrix; with 16, faster.
+_SHIFTED_MIN_C_IN = 16
+
+
 def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor,
            pad: tuple = (1, 1, 1, 1)) -> Tensor:
     """3x3 convolution, stride 1, zero padding ``pad`` = (top, bottom,
@@ -186,9 +282,9 @@ def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor,
     x: (C_in, H, W), weight: (C_out, C_in, 3, 3), bias: (C_out,); the
     output is (C_out, H + top + bottom - 2, W + left + right - 2).
 
-    The image gradient is itself a stride-1 convolution: that of the
-    upstream gradient, zero-padded by 2 - pad on each side, with the
-    flipped kernel, its in and out channels swapped.
+    With fewer than 16 input channels the output and weight gradient
+    come from ``_conv_im2col``, from 16 from ``_conv_shifted``; the
+    module docstring gives the bound between them.
     """
     if x.values.ndim != 3 or weight.values.ndim != 4 or weight.shape[2:] != (3, 3):
         raise ShapeError(f"conv2d: bad operand shapes {x.shape}, {weight.shape}")
@@ -200,25 +296,12 @@ def conv2d(tape: Tape | None, x: Tensor, weight: Tensor, bias: Tensor,
     if len(pad) != 4 or any(p not in (0, 1) for p in pad):
         raise ShapeError(f"conv2d: pad must be four sides of 0 or 1, got {pad}")
     top, bottom, left, right = pad
-    ho, wo = h + top + bottom - 2, w + left + right - 2
-    if ho <= 0 or wo <= 0:
+    if h + top + bottom - 2 <= 0 or w + left + right - 2 <= 0:
         raise ShapeError(f"conv2d: input {x.shape} with pad {pad} leaves no output")
-    cols = _im2col(x.values, pad)
-    wmat = weight.values.reshape(c_out, c_in * 9)
-    y = (wmat @ cols + bias.values[:, None]).reshape(c_out, ho, wo)
-
-    def vjp(g):
-        gmat = g.reshape(c_out, ho * wo)
-        gx = None
-        if x.requires_grad:  # the predictor's input image needs none
-            flipped = weight.values[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(c_in, c_out * 9)
-            gx = (flipped @ _im2col(g, (2 - top, 2 - bottom, 2 - left, 2 - right))
-                  ).reshape(c_in, h, w)
-        gw = (gmat @ cols.T).reshape(c_out, c_in, 3, 3)
-        gb = gmat.sum(axis=1)
-        return gx, gw, gb
-
-    return _result(tape, (x, weight, bias), y, vjp, "conv2d")
+    kernel = _conv_shifted if c_in >= _SHIFTED_MIN_C_IN else _conv_im2col
+    y, vjp = kernel(x.values, weight.values, bias.values, pad)
+    # the predictor's input image needs no gradient
+    return _result(tape, (x, weight, bias), y, lambda g: vjp(g, x.requires_grad), "conv2d")
 
 
 def euclidean_norm(tape: Tape | None, x: Tensor) -> Tensor:

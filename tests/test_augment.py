@@ -263,6 +263,25 @@ class TestInvertOnHeatmap:
         np.testing.assert_allclose(out_w.values, whole[:, np.searchsorted(rows, warp.rows)],
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("rotation_deg", [0.0, 8.5])
+    def test_output_layout_is_transpose_of_pixel_major_array(self, rng, rotation_deg):
+        # the (J, n) activations keep the layout of src[:, idx]: fusion's
+        # products take their BLAS path from it, so a C-contiguous copy
+        # could differ in the last bit
+        rec = AugmentationRecord(image_h=H, image_w=W, flip=True,
+                                 crop=(1, 2, 12, 16), rotation_deg=rotation_deg,
+                                 jitter=(1.0, 1.0, 1.0))
+        keep = np.zeros((H, W), dtype=bool)
+        keep[3:9, 2:15] = True
+        warp = inverse_warp(rec, keep, footprint=True)
+        j, (_, _, wh, ww) = 5, warp.window
+        out = invert_on_heatmap_tensor(None, tg.Tensor(rng.normal(size=(j, wh, ww))),
+                                       rec, warp).values
+        assert out.shape == (j, warp.rows.size) and warp.rows.size > 1
+        assert out.strides == (8, 8 * j)
+        assert out.flags.f_contiguous and not out.flags.c_contiguous
+        assert out.flags.owndata and out.flags.writeable and out.flags.aligned
+
     def test_shape_mismatch_rejected(self):
         rec = AugmentationRecord(image_h=H, image_w=W, flip=False,
                                  crop=(0, 0, 12, 16), rotation_deg=0.0,

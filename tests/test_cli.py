@@ -320,6 +320,29 @@ class TestMalformedInputs:
         err = self._fuse_error(scene_dir, tmp_path, capsys)
         assert str(path) in err and "joints3d.head" in err
 
+    @pytest.mark.parametrize("raw", ["[NaN, 3.0]", "[Infinity, 3.0]", "[3.0]",
+                                     "[1.0, 2.0, 3.0]", '"ab"'],
+                             ids=["nan", "inf", "one_item", "three_items", "string"])
+    @pytest.mark.parametrize("command", ["fuse", "eval_oracle"])
+    def test_scene_joint2d_not_null_or_two_finite_numbers(self, dataset, tmp_path, capsys,
+                                                          raw, command):
+        shutil.copytree(dataset, tmp_path / "ds")
+        scene_id = json.loads((tmp_path / "ds" / "split.json").read_text())["test"][0]
+        scene_dir = tmp_path / "ds" / "scenes" / scene_id
+        path = scene_dir / "scene.json"
+        doc = json.loads(path.read_text())
+        entry = doc["persons"][0]["views"][-1]
+        entry["joints2d"]["head"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', raw))
+        argv = {"fuse": ["fuse", "--scene", str(scene_dir),
+                         "--out-pose", str(tmp_path / "p.json")],
+                "eval_oracle": ["eval", "--data", str(tmp_path / "ds"), "--oracle",
+                                "--report", str(tmp_path / "r.json")]}[command]
+        assert main(argv) == 1
+        err = self._error_line(capsys)
+        assert str(path) in err and "persons[0]" in err
+        assert f"view {entry['view']} joints2d.head" in err
+
     def test_scene_file_with_non_ascii_byte(self, dataset, tmp_path, capsys):
         scene_dir = self._mutated_scene(dataset, tmp_path, lambda doc: None)
         path = scene_dir / "scene.json"
