@@ -6,12 +6,19 @@ and one ``view{v}_depth.f32`` per view (two little-endian uint32 for H
 then W, followed by H*W little-endian float32 z-depths in meters,
 row-major; 0.0 marks unknown depth).
 
+``scene.json`` is written by a writer for this one schema, which gives
+the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` at a fraction
+of the cost of the json module's pure-Python indenting encoder.
+
 The synthetic generator renders articulated stick figures (joint spheres
 plus bone capsules) into depth maps by per-pixel ray casting against the
 figures (each primitive only over its screen-space rectangle), a floor
 plane and four walls, and derives every annotation a downstream test
 needs: exact projections, per-view visibility, boxes, and the per-scene
-lifting error that bounds what any pixel-grid method can achieve.
+lifting error that bounds what any pixel-grid method can achieve. Every
+camera sits strictly inside the room, so along each horizontal axis a
+ray can only meet the wall its direction points to, and each view casts
+two wall passes rather than four.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -188,59 +196,86 @@ def _read_depth(path) -> np.ndarray:
 
 
 _UNIT_SCALE = {"meters": 1.0, "millimeters": 0.001}
+_SORTED_JOINTS = sorted(JOINT_NAMES)
+
+
+def _array(items: list, pad: str) -> str:
+    """A JSON array of encoded ``items`` whose opening line is indented by
+    ``pad``, laid out as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _floats(values, pad: str) -> str:
+    """``_array`` of floats written by ``float.__repr__``, as ``json``
+    writes them; a finite float's repr holds no "n", so one substring
+    test finds the NaN and Infinity that ``json`` spells its own way."""
+    text = _array(list(map(float.__repr__, values)), pad)
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _scene_json(scene: Scene) -> str:
+    """scene.json's text: the bytes ``json.dumps(doc, indent=2,
+    sort_keys=True)`` gives for the scene's document, written straight
+    from the scene by a writer for this one schema. Keys appear in sorted
+    order, strings go through ``encode_basestring_ascii``, floats through
+    ``float.__repr__``, camera scalars (an int ``focal`` writes ``70``)
+    through ``json.dumps``, and the ints and bools a scene holds through
+    ``str`` and ``true``/``false``. Python's json module runs its
+    pure-Python encoder whenever ``indent`` is set, at several times the
+    cost of this writer."""
+    persons = []
+    for p in scene.persons():
+        j3 = scene.joints3d[p]
+        views = []
+        for sv in scene.views:
+            pts = scene.joints2d[(p, sv.view)]
+            vis = scene.visibility[(p, sv.view)]
+            j2 = ",".join([f'\n            "{name}": '
+                           + ("null" if pts[name] is None else _floats(pts[name], " " * 12))
+                           for name in _SORTED_JOINTS])
+            flags = ",".join([f'\n            "{name}": ' + ("true" if vis[name] else "false")
+                              for name in _SORTED_JOINTS])
+            views.append(f'{{\n          "joints2d": {{{j2}\n          }},'
+                         f'\n          "view": {sv.view},'
+                         f'\n          "visible": {{{flags}\n          }}\n        }}')
+        j3_text = ",".join([f'\n        "{name}": ' + _floats(j3[name].tolist(), " " * 8)
+                            for name in _SORTED_JOINTS])
+        persons.append(f'{{\n      "joints3d": {{{j3_text}\n      }},'
+                       f'\n      "person": {p},'
+                       f'\n      "views": {_array(views, " " * 6)}\n    }}')
+    views = []
+    for sv in scene.views:
+        cam = sv.camera
+        boxes = [f'{{\n          "person": {p},\n          "x_max": {b.x_max},'
+                 f'\n          "x_min": {b.x_min},\n          "y_max": {b.y_max},'
+                 f'\n          "y_min": {b.y_min}\n        }}'
+                 for p, b in sorted(sv.boxes.items())]
+        scalars = "".join([f'\n        "{key}": '
+                           + (float.__repr__(v) if type(v) is float else json.dumps(v)) + ","
+                           for key, v in (("cx", cam.cx), ("cy", cam.cy),
+                                          ("fx", cam.fx), ("fy", cam.fy))])
+        views.append(f'{{\n      "boxes": {_array(boxes, " " * 6)},'
+                     f'\n      "camera": {{{scalars}'
+                     f'\n        "to_reference": '
+                     f'{_floats(cam.to_reference.matrix.ravel().tolist(), " " * 8)}\n      }},'
+                     f'\n      "height": {sv.height},\n      "view": {sv.view},'
+                     f'\n      "width": {sv.width}\n    }}')
+    return (f'{{\n  "id": {encode_basestring_ascii(scene.id)},'
+            f'\n  "persons": {_array(persons, "  ")},\n  "units": "meters",'
+            f'\n  "views": {_array(views, "  ")}\n}}\n')
 
 
 def save_scene(scene: Scene, directory) -> None:
     """Write a scene directory; serialization is deterministic so that a
     load/save round trip is byte-identical."""
     os.makedirs(directory, exist_ok=True)
-    doc = {
-        "id": scene.id,
-        "units": "meters",
-        "views": [
-            {
-                "view": sv.view,
-                "height": sv.height,
-                "width": sv.width,
-                "camera": {
-                    "fx": sv.camera.fx, "fy": sv.camera.fy,
-                    "cx": sv.camera.cx, "cy": sv.camera.cy,
-                    "to_reference": [float(x) for x in sv.camera.to_reference.matrix.ravel()],
-                },
-                "boxes": [
-                    {"person": p, "x_min": b.x_min, "y_min": b.y_min,
-                     "x_max": b.x_max, "y_max": b.y_max}
-                    for p, b in sorted(sv.boxes.items())
-                ],
-            }
-            for sv in scene.views
-        ],
-        "persons": [
-            {
-                "person": p,
-                "joints3d": {
-                    name: scene.joints3d[p][name].tolist() for name in JOINT_NAMES
-                },
-                "views": [
-                    {
-                        "view": sv.view,
-                        "joints2d": {
-                            name: (list(scene.joints2d[(p, sv.view)][name])
-                                   if scene.joints2d[(p, sv.view)][name] is not None else None)
-                            for name in JOINT_NAMES
-                        },
-                        "visible": {name: bool(scene.visibility[(p, sv.view)][name])
-                                    for name in JOINT_NAMES},
-                    }
-                    for sv in scene.views
-                ],
-            }
-            for p in scene.persons()
-        ],
-    }
     with open(os.path.join(directory, "scene.json"), "w", encoding="ascii") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(_scene_json(scene))
     for sv in scene.views:
         _write_ppm(os.path.join(directory, f"view{sv.view}_color.ppm"), sv.colour)
         _write_depth(os.path.join(directory, f"view{sv.view}_depth.f32"), sv.depth.raster)
@@ -253,14 +288,14 @@ def _field(doc: dict, key: str, context: str):
 
 
 def _typed(kind, doc: dict, key: str, context: str):
-    """Field ``key`` converted by ``kind`` (int or float)."""
+    """Field ``key`` as a ``kind``: for int a JSON integer, for float a
+    finite real number; a bool or a string is neither."""
     value = _field(doc, key, context)
-    try:
+    ok = type(value) is int if kind is int else _finite_number(value)
+    if ok:
         return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise SceneFormatError(f"{context}: field '{key}' must be {what}, "
-                               f"got {value!r}") from None
+    what = "an integer" if kind is int else "a finite number"
+    raise SceneFormatError(f"{context}: field '{key}' must be {what}, got {value!r}")
 
 
 def _shaped(kind, value, context: str):
@@ -304,12 +339,11 @@ def load_scene(directory) -> Scene:
         ctx = f"{path}: views[{vdoc.get('view', '?')}]"
         v = _typed(int, vdoc, "view", ctx)
         cam_doc = _shaped(dict, _field(vdoc, "camera", ctx), f"{ctx}.camera")
-        try:
-            t_raw = np.asarray(_field(cam_doc, "to_reference", f"{ctx}.camera"),
-                               dtype=np.float64)
-        except (TypeError, ValueError):
+        t_doc = _field(cam_doc, "to_reference", f"{ctx}.camera")
+        if not (isinstance(t_doc, list) and all(map(_finite_number, t_doc))):
             raise SceneFormatError(f"{ctx}.camera: field 'to_reference' must be "
-                                   f"16 numbers") from None
+                                   f"16 finite numbers")
+        t_raw = np.array(t_doc, dtype=np.float64)
         if t_raw.size != 16:
             raise SceneFormatError(f"{ctx}.camera.to_reference: expected 16 numbers, got {t_raw.size}")
         t_mat = t_raw.reshape(4, 4)
@@ -382,8 +416,12 @@ def load_scene(directory) -> Scene:
                 else:
                     raise SceneFormatError(f"{ctx}: view {v} joints2d.{name}: expected null "
                                            f"or 2 finite numbers, got {raw!r}")
-                vis[name] = bool(vis_doc.get(name, False))
-                if vis[name] and j2[name] is None:
+                flag = vis_doc.get(name, False)
+                if type(flag) is not bool:
+                    raise SceneFormatError(f"{ctx}: view {v} visible.{name}: expected true "
+                                           f"or false, got {flag!r}")
+                vis[name] = flag
+                if flag and j2[name] is None:
                     raise SceneFormatError(f"{ctx}: view {v} joint '{name}' visible but missing joints2d")
             joints2d[(p, v)] = j2
             visibility[(p, v)] = vis
@@ -618,20 +656,26 @@ def _rect_pixels(rects: np.ndarray, w: int) -> tuple:
     col0, col1) in a w-wide image: each rectangle's pixels in row-major
     order, concatenated in rectangle order, and the (K + 1,) bounds of
     each rectangle's slice."""
+    n_rows = rects[:, 1] - rects[:, 0]
     n_cols = rects[:, 3] - rects[:, 2]
-    bounds = np.concatenate([[0], np.cumsum((rects[:, 1] - rects[:, 0]) * n_cols)])
-    owner = np.repeat(np.arange(len(rects)), np.diff(bounds))
-    row, col = np.divmod(np.arange(bounds[-1]) - bounds[owner], n_cols[owner])
-    return (rects[owner, 0] + row) * w + rects[owner, 2] + col, bounds
+    bounds = np.concatenate([[0], np.cumsum(n_rows * n_cols)])
+    # one run of consecutive indices per rectangle row: the output position
+    # plus the run's offset gives the flat index
+    seg = np.repeat(np.arange(len(rects)), n_rows)
+    row = rects[seg, 0] + np.arange(seg.size) - (np.cumsum(n_rows) - n_rows)[seg]
+    seg_len = n_cols[seg]
+    offset = row * w + rects[seg, 2] - (np.cumsum(seg_len) - seg_len)
+    return np.arange(bounds[-1]) + np.repeat(offset, seg_len), bounds
 
 
 def _slice_products(rays: np.ndarray, bounds: np.ndarray, vectors: list) -> np.ndarray:
     """rays[lo:hi] @ vectors[k] for each primitive k's slice lo:hi. Each
     product stays on its own slice: one product over every slice may take
-    another BLAS path, with other bits."""
+    another BLAS path, with other bits. ``np.dot`` makes the same gemv call
+    as ``@`` and writes straight into the slice of the output."""
     out = np.empty(len(rays))
     for lo, hi, v in zip(bounds[:-1].tolist(), bounds[1:].tolist(), vectors):
-        out[lo:hi] = rays[lo:hi] @ v
+        np.dot(rays[lo:hi], v, out=out[lo:hi])
     return out
 
 
@@ -644,6 +688,13 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
     only with the rays of its screen-space rectangle; the floor and the
     walls with every ray.
 
+    ``eye`` must lie strictly inside the room, as ``SynthConfig`` keeps
+    every camera. On each horizontal axis a ray then meets only the wall
+    its direction points to: for the other one, ``(value - o) / d`` is
+    negative and never passes ``s > _S_MIN``. So each axis takes one wall
+    pass, with ``value = +-half`` by the sign of the direction, and the
+    depth equals that of casting all four walls bit for bit.
+
     The rectangles of every person's spheres are cast as one batch, and
     those of the capsules as another: the elementwise arithmetic runs
     once over each batch, and only the (n, 3) @ (3,) products run per
@@ -651,36 +702,31 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
     ``np.minimum.at``; a minimum is exact, so the order of the folds does
     not matter."""
     h, w = row_dirs.size, col_dirs.size
-    pixel_dirs = np.stack([np.tile(col_dirs, h), np.repeat(row_dirs, w), np.ones(h * w)], axis=1)
-    d = pixel_dirs @ rot.T                       # world-frame directions, (HW, 3)
+    pixel_dirs = np.empty((h, w, 3))
+    pixel_dirs[..., 0] = col_dirs
+    pixel_dirs[..., 1] = row_dirs[:, None]
+    pixel_dirs[..., 2] = 1.0
+    d = pixel_dirs.reshape(-1, 3) @ rot.T        # world-frame directions, (HW, 3)
     o = eye
     best = np.full(h * w, np.inf)
 
     def consider(s, mask):
         np.minimum(best, np.where(mask & (s > _S_MIN), s, np.inf), out=best)
 
-    radii = np.array([cfg.joint_radius, cfg.capsule_radius])
-    sphere_rects, spheres, capsule_rects, capsules = [], [], [], []
-    for joints in persons_world:
-        centers = np.array([joints[name] for name in JOINT_NAMES])
-        rects = _ball_rects((centers - o) @ rot, radii, col_dirs, row_dirs)
-        sphere_rects.append(rects[0])
-        spheres.extend(centers)
-        # a capsule is the convex hull of its end balls: the union of their rectangles
-        ends = rects[1][_EDGE_ENDS]                                      # (E, 2, 4)
-        edge_rects = np.where([True, False, True, False], ends.min(axis=1), ends.max(axis=1))
-        for (na, nb), rect in zip(SKELETON_EDGES, edge_rects):
-            axis = joints[nb] - joints[na]
-            length = float(np.linalg.norm(axis))
-            if length >= 1e-9:
-                capsule_rects.append(rect)
-                capsules.append((joints[na], axis / length, length))
+    centers = [np.array([joints[name] for name in JOINT_NAMES]) for joints in persons_world]
+    # the camera-frame product stays per person: a batch may take another BLAS path
+    rects = _ball_rects(np.concatenate([(c - o) @ rot for c in centers]),
+                        np.array([cfg.joint_radius, cfg.capsule_radius]), col_dirs, row_dirs)
+    centers = np.concatenate(centers)
+    edges = (_EDGE_ENDS + len(JOINT_NAMES) * np.arange(len(persons_world))[:, None, None]
+             ).reshape(-1, 2)
 
-    idx, bounds = _rect_pixels(np.concatenate(sphere_rects), w)
-    dr = d[idx]
-    oc = [o - c for c in spheres]
+    idx, bounds = _rect_pixels(rects[0], w)
+    dr = d.take(idx, axis=0)
+    oc = o - centers
     a = np.einsum("ij,ij->i", dr, dr)
-    b = _slice_products(2.0 * dr, bounds, oc)
+    # 2 (r . v) as r . (2 v): doubling is exact, so the bits are those of (2 r) . v
+    b = _slice_products(dr, bounds, 2.0 * oc)
     cc = np.repeat([float(v @ v) - cfg.joint_radius ** 2 for v in oc], np.diff(bounds))
     disc = b * b - 4.0 * a * cc
     hit = disc >= 0.0
@@ -689,18 +735,26 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
     keep = hit & (s > _S_MIN)
     np.minimum.at(best, idx[keep], s[keep])
 
-    if capsules:
-        idx, bounds = _rect_pixels(np.array(capsule_rects), w)
+    # a capsule is the convex hull of its end balls: the union of their rectangles
+    ends = rects[1][edges]                                               # (E, 2, 4)
+    capsule_rects = np.where([True, False, True, False], ends.min(axis=1), ends.max(axis=1))
+    starts = centers[edges[:, 0]]
+    axes = centers[edges[:, 1]] - starts
+    lengths = np.array([math.sqrt(v @ v) for v in axes])   # np.linalg.norm's bits
+    bone = lengths >= 1e-9
+    if bone.any():
+        idx, bounds = _rect_pixels(capsule_rects[bone], w)
         counts = np.diff(bounds)
-        dr = d[idx]
-        starts, u, lengths = zip(*capsules)
-        m = [o - a_pt for a_pt in starts]
+        dr = d.take(idx, axis=0)
+        lengths = lengths[bone]
+        u = axes[bone] / lengths[:, None]
+        m = o - starts[bone]
         m_par = [float(mv @ uv) for mv, uv in zip(m, u)]
-        mm = [mv - mp * uv for mv, mp, uv in zip(m, m_par, u)]
+        mm = m - np.array(m_par)[:, None] * u
         d_par = _slice_products(dr, bounds, u)
         dd = dr - d_par[:, None] * np.repeat(u, counts, axis=0)
         a2 = np.einsum("ij,ij->i", dd, dd)
-        b2 = _slice_products(2.0 * dd, bounds, mm)
+        b2 = _slice_products(dd, bounds, 2.0 * mm)
         c2 = np.repeat([float(v @ v) - cfg.capsule_radius ** 2 for v in mm], counts)
         ok = a2 > 1e-14
         disc = b2 * b2 - 4.0 * a2 * c2
@@ -715,11 +769,12 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
     going_down = d[:, 1] < -1e-12
     s_floor = np.where(going_down, -o[1] / np.where(going_down, d[:, 1], 1.0), np.inf)
     consider(s_floor, going_down)
-    # four walls of finite height
+    # walls of finite height, one pass per horizontal axis (see above)
     half = cfg.room_size / 2.0
-    for axis_i, value in ((0, half), (0, -half), (2, half), (2, -half)):
+    for axis_i in (0, 2):
         moving = np.abs(d[:, axis_i]) > 1e-12
-        s_wall = np.where(moving, (value - o[axis_i]) / np.where(moving, d[:, axis_i], 1.0), np.inf)
+        value = np.where(d[:, axis_i] > 0.0, half, -half)
+        s_wall = (value - o[axis_i]) / np.where(moving, d[:, axis_i], 1.0)   # used where moving
         y_hit = o[1] + s_wall * d[:, 1]
         other = 2 - axis_i
         o_hit = o[other] + s_wall * d[:, other]
@@ -781,7 +836,7 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng, rig: tuple) -> Scene:
         for v, (cam_from_world, cam) in enumerate(zip(cams_from_world, cameras)):
             j2, vis = {}, {}
             for name in JOINT_NAMES:
-                pc = transform_point(joints[name], cam_from_world)
+                pc = transform_point(joints[name], cam_from_world).tolist()
                 if pc[2] <= 0.05:
                     j2[name], vis[name] = None, False
                     continue
@@ -791,8 +846,8 @@ def _build_scene(scene_id: str, cfg: SynthConfig, rng, rig: tuple) -> Scene:
                     j2[name], vis[name] = None, False
                     continue
                 j2[name] = (px, py)
-                surface = depth_rasters[v][yi, xi]
-                vis[name] = bool(surface > 0.0 and abs(surface - pc[2]) <= cfg.joint_radius + 1e-3)
+                surface = float(depth_rasters[v][yi, xi])
+                vis[name] = surface > 0.0 and abs(surface - pc[2]) <= cfg.joint_radius + 1e-3
             joints2d[(p, v)] = j2
             visibility[(p, v)] = vis
             pts = [j2[name] for name in JOINT_NAMES if vis[name]]
@@ -870,7 +925,7 @@ def make_target_heatmaps(scene: Scene, view: int, person: int,
     them in the last bit."""
     sv = scene.views[view]
     h, w = sv.height, sv.width
-    ys, xs = np.nonzero(np.ones((h, w), dtype=bool) if mask is None else mask)
+    ys, xs = np.divmod(np.flatnonzero(np.ones((h, w), dtype=bool) if mask is None else mask), w)
     vis = scene.visibility[(person, view)]
     pts = scene.joints2d[(person, view)]
     cols = [j for j, name in enumerate(JOINT_NAMES) if vis[name]]
@@ -910,7 +965,8 @@ def lift_errors(scene: Scene) -> dict:
                 lifted = transform_point(
                     backproject_pixel((xi, yi), z, sv.camera), sv.camera.to_reference
                 )
-                errors[(p, name, sv.view)] = float(np.linalg.norm(lifted - gt[name]))
+                diff = lifted - gt[name]
+                errors[(p, name, sv.view)] = math.sqrt(diff @ diff)   # np.linalg.norm's bits
     return errors
 
 

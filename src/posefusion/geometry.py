@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,9 @@ class BehindCameraError(GeometryError):
 
 
 _ROTATION_TOL = 1e-9
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
+_BOTTOM = np.array([0.0, 0.0, 0.0, 1.0])
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -54,12 +58,12 @@ class RigidTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise GeometryError(f"rigid transform matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise GeometryError("rigid transform matrix contains non-finite values")
-        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+        if not (m[3] == _BOTTOM).all():
             raise GeometryError(f"rigid transform bottom row must be (0,0,0,1), got {m[3]}")
         r = m[:3, :3]
-        ortho_err = np.max(np.abs(r.T @ r - np.eye(3)))
+        ortho_err = np.abs(r.T @ r - _EYE3).max()
         if ortho_err >= _ROTATION_TOL:
             raise GeometryError(
                 f"rotation block is not orthonormal: max |R^T R - I| = {ortho_err:.3e}"
@@ -71,7 +75,7 @@ class RigidTransform:
 
     @staticmethod
     def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(4))
+        return _IDENTITY
 
     @staticmethod
     def from_rotation_translation(rotation, translation) -> "RigidTransform":
@@ -89,7 +93,10 @@ class RigidTransform:
         return self.matrix[:3, 3]
 
     def is_identity(self, tol: float = 0.0) -> bool:
-        return np.max(np.abs(self.matrix - np.eye(4))) <= tol
+        return np.abs(self.matrix - _EYE4).max() <= tol
+
+
+_IDENTITY = RigidTransform(np.eye(4))       # immutable, so one instance serves every caller
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,7 @@ class Camera:
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise GeometryError(f"camera {self.id}: {name} must be finite, got {v}")
         if self.fx <= 0 or self.fy <= 0:
             raise GeometryError(f"camera {self.id}: focal lengths must be positive")
@@ -122,7 +129,7 @@ def backproject_pixel(pixel, depth: float, camera: Camera) -> np.ndarray:
     Along the camera ray through (x, y), at z-depth ``depth``:
     (depth*(x-cx)/fx, depth*(y-cy)/fy, depth).
     """
-    if not np.isfinite(depth):
+    if not math.isfinite(depth):
         raise GeometryError(f"depth must be finite, got {depth}")
     if depth < 0:
         raise GeometryError(f"depth must be non-negative, got {depth}")
@@ -169,7 +176,7 @@ def project_point(point: np.ndarray, camera: Camera) -> tuple[float, float]:
 def transform_point(point: np.ndarray, t: RigidTransform) -> np.ndarray:
     """Apply a rigid transform to a (3,) point: homogeneous multiply
     T @ [x y z 1]."""
-    return (t.matrix @ np.append(point, 1.0))[:3]
+    return (t.matrix @ np.concatenate((point, _ONE)))[:3]
 
 
 def transform_points(points: np.ndarray, t: RigidTransform) -> np.ndarray:

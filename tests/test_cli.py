@@ -297,6 +297,26 @@ class TestMalformedInputs:
         assert str(scene_dir / "scene.json") in err and field in err
 
     @pytest.mark.parametrize("field, mutate", [
+        ("'x_min'", lambda doc: doc["views"][0]["boxes"][0].update(x_min=3.7)),
+        ("'height'", lambda doc: doc["views"][0].update(height=64.9)),
+        ("'person'", lambda doc: doc["views"][0]["boxes"][0].update(person=True)),
+        ("'view'", lambda doc: doc["views"][1].update(view="1")),
+        ("'person'", lambda doc: doc["persons"][0].update(person=0.0)),
+        ("'fx'", lambda doc: doc["views"][0]["camera"].update(fx="70")),
+        ("'fx'", lambda doc: doc["views"][0]["camera"].update(fx=True)),
+        ("visible.head", lambda doc: doc["persons"][0]["views"][0]["visible"].update(head="no")),
+        ("'to_reference'", lambda doc: doc["views"][1]["camera"]["to_reference"].__setitem__(
+            0, "1.0")),
+    ], ids=["box_x_min_float", "height_float", "box_person_bool", "view_index_string",
+            "person_index_float", "camera_fx_string", "camera_fx_bool", "visible_string",
+            "to_reference_string"])
+    def test_scene_scalar_of_wrong_json_type(self, dataset, tmp_path, capsys, field, mutate):
+        # each of these once converted silently (3.7 -> 3, true -> 1, "no" -> True)
+        scene_dir = self._mutated_scene(dataset, tmp_path, mutate)
+        err = self._fuse_error(scene_dir, tmp_path, capsys)
+        assert str(scene_dir / "scene.json") in err and field in err
+
+    @pytest.mark.parametrize("field, mutate", [
         ("views[0]", lambda doc: doc["views"].__setitem__(0, 1)),
         ("joints2d", lambda doc: doc["persons"][0]["views"][0].update(joints2d=1)),
         ("visible", lambda doc: doc["persons"][0]["views"][0].update(visible=[])),

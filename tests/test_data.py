@@ -17,6 +17,7 @@ from posefusion.data import (
     _rect_pixels,
     _render_depth,
     _sample_person,
+    _scene_json,
     generate_dataset,
     generate_synthetic,
     lift_errors,
@@ -130,6 +131,116 @@ class TestSceneIO:
         assert len(load_dataset(tmp_path)) == 3
         with pytest.raises(SceneFormatError, match="fold"):
             load_dataset(tmp_path, "day4")
+
+
+def _reference_scene_json(scene) -> str:
+    """scene.json as the json module writes it: the document dict that
+    save_scene once built, through json.dumps(indent=2, sort_keys=True)."""
+    doc = {
+        "id": scene.id,
+        "units": "meters",
+        "views": [
+            {
+                "view": sv.view,
+                "height": sv.height,
+                "width": sv.width,
+                "camera": {
+                    "fx": sv.camera.fx, "fy": sv.camera.fy,
+                    "cx": sv.camera.cx, "cy": sv.camera.cy,
+                    "to_reference": [float(x) for x in sv.camera.to_reference.matrix.ravel()],
+                },
+                "boxes": [
+                    {"person": p, "x_min": b.x_min, "y_min": b.y_min,
+                     "x_max": b.x_max, "y_max": b.y_max}
+                    for p, b in sorted(sv.boxes.items())
+                ],
+            }
+            for sv in scene.views
+        ],
+        "persons": [
+            {
+                "person": p,
+                "joints3d": {
+                    name: scene.joints3d[p][name].tolist() for name in JOINT_NAMES
+                },
+                "views": [
+                    {
+                        "view": sv.view,
+                        "joints2d": {
+                            name: (list(scene.joints2d[(p, sv.view)][name])
+                                   if scene.joints2d[(p, sv.view)][name] is not None else None)
+                            for name in JOINT_NAMES
+                        },
+                        "visible": {name: bool(scene.visibility[(p, sv.view)][name])
+                                    for name in JOINT_NAMES},
+                    }
+                    for sv in scene.views
+                ],
+            }
+            for p in scene.persons()
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestSceneWriter:
+    """save_scene's writer for the scene.json schema must write the bytes
+    of json.dumps(indent=2, sort_keys=True) on the document dict."""
+
+    @staticmethod
+    def _check(scene, tmp_path):
+        want = _reference_scene_json(scene)
+        assert _scene_json(scene) == want
+        save_scene(scene, tmp_path / scene.id)
+        assert (tmp_path / scene.id / "scene.json").read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"occlusion_drop": 0.35},
+        {"views": 1, "camera_heights": (1.6,)},
+        {"image_h": 31, "image_w": 47, "views": 4},
+        {"focal": 70},
+    ], ids=["default", "occlusion_drop", "1view", "31x47_4views", "int_focal"])
+    def test_equals_json_dumps_on_generated_and_reloaded_scenes(self, fields, tmp_path):
+        cfg = SynthConfig(train_scenes=6, test_scenes=2, seed=6, **fields)
+        train, test = generate_synthetic(cfg)
+        for scene in train + test:
+            self._check(scene, tmp_path / "generated")
+            save_scene(scene, tmp_path / "first" / scene.id)
+            self._check(load_scene(tmp_path / "first" / scene.id), tmp_path / "reloaded")
+        if fields.get("occlusion_drop"):
+            # views without boxes write [], joints outside a view write null
+            assert any(not sv.boxes for s in train + test for sv in s.views)
+            assert any(pt is None for s in train + test for pts in s.joints2d.values()
+                       for pt in pts.values())
+        if "focal" in fields:
+            assert '"fx": 70,' in _scene_json(train[0])
+
+    def test_equals_json_dumps_on_scenes_resaved_from_millimetres(self, small_scenes, tmp_path):
+        _, train, _ = small_scenes
+        for scene in train:
+            save_scene(scene, tmp_path / "m" / scene.id)
+            path = tmp_path / "m" / scene.id / "scene.json"
+            doc = json.loads(path.read_text())
+            doc["units"] = "millimeters"
+            for p in doc["persons"]:
+                p["joints3d"] = {k: [c * 1000.0 for c in v] for k, v in p["joints3d"].items()}
+            for v in doc["views"]:
+                for i in (3, 7, 11):
+                    v["camera"]["to_reference"][i] *= 1000.0
+            path.write_text(json.dumps(doc))
+            self._check(load_scene(tmp_path / "m" / scene.id), tmp_path / "resaved")
+
+    def test_equals_json_dumps_on_escaped_ids_and_non_finite_numbers(self, tmp_path):
+        scene = generate_synthetic(SynthConfig(train_scenes=1, test_scenes=0, seed=7))[0][0]
+        for scene_id in ['quote"d', "back\\slash", "café ☃", "tab\tnew\nline"]:
+            scene.id = scene_id
+            assert _scene_json(scene) == _reference_scene_json(scene)
+        scene.id = "non_finite"
+        scene.joints3d[0]["head"] = np.array([float("nan"), float("inf"), -float("inf")])
+        v = scene.supporting_views(0)[0]
+        scene.joints2d[(0, v)]["neck"] = (float("-inf"), float("nan"))
+        self._check(scene, tmp_path)
 
 
 class TestGenerator:
@@ -389,6 +500,49 @@ class TestRenderer:
             pose.translation, pose.rotation, [], cfg)
         got = _render_depth(col_dirs, row_dirs, pose.translation, pose.rotation, [person], cfg)
         assert np.array_equal(got.ravel(), empty_room)
+
+    def test_equals_full_grid_with_cameras_a_millimetre_inside_a_wall(self):
+        # four cameras on a ring 1 mm short of the room's half-width: each
+        # sits 1 mm in front of a wall, and the renderer casts each ray only
+        # against the wall its direction points to
+        cfg = SynthConfig(camera_radius=2.499, room_size=5.0, views=4, seed=17)
+        half = cfg.room_size / 2.0
+        poses = _camera_rig(cfg)[0]
+        gaps = [half - abs(p.translation[[0, 2]]).max() for p in poses]
+        assert np.allclose(gaps, 0.001)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(4):
+            placed = []
+            self._compare(cfg, [_sample_person(rng, cfg, placed) for _ in range(3)])
+
+    def test_equals_full_grid_with_rays_parallel_to_walls(self):
+        # axis-aligned cameras with an odd image: the middle column's rays
+        # run parallel to two walls (zero direction on that axis), the
+        # middle row's parallel to the floor; one eye 1 mm from a wall
+        cfg = SynthConfig(image_h=31, image_w=47, seed=19)
+        half = cfg.room_size / 2.0
+        col_dirs = (np.arange(cfg.image_w) - 23.0) / 40.0
+        row_dirs = (np.arange(cfg.image_h) - 15.0) / 40.0
+        assert col_dirs[23] == 0.0 and row_dirs[15] == 0.0
+        ys, xs = np.mgrid[0:cfg.image_h, 0:cfg.image_w]
+        dirs = np.stack([col_dirs[xs.ravel()], row_dirs[ys.ravel()],
+                         np.ones(xs.size)], axis=1)
+        # camera-to-world rotations looking along -z, +x, +z and -x, y down
+        looks = [np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
+                 np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])]
+        looks += [np.diag([-1.0, 1.0, -1.0]) @ r for r in looks]
+        eyes = [np.array([0.3, 1.2, -0.4]), np.array([0.0, 1.6, half - 0.001]),
+                np.array([-(half - 0.001), 1.5, 0.2])]
+        rng = np.random.default_rng(cfg.seed)
+        placed = []
+        persons = [_sample_person(rng, cfg, placed) for _ in range(2)]
+        for rot in looks:
+            assert np.isclose(np.linalg.det(rot), 1.0)
+            for eye in eyes:
+                with np.errstate(invalid="ignore"):   # the reference's inf * 0 off its walls
+                    want = _full_grid_render_depth(dirs, eye, rot, persons, cfg)
+                got = _render_depth(col_dirs, row_dirs, eye, rot, persons, cfg)
+                assert np.array_equal(got.ravel(), want)
 
     def test_rect_pixels_concatenates_row_major_slices(self):
         # empty rectangles (no rows, no columns, both) take no slice
