@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heatmap import InputTensor
 from .tensorgrad import Tape, Tensor, _result
 
 __all__ = [
@@ -248,9 +247,9 @@ def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
         np.asarray(raster, dtype=np.float64)[None], bilinear, fill)[0]
 
 
-def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
-                   window: tuple | None = None) -> InputTensor:
-    """Augment a 5-channel input: jitter the colour, then flip, rotate and
+def apply_to_input(inp: np.ndarray, rec: AugmentationRecord,
+                   window: tuple | None = None) -> np.ndarray:
+    """Augment a (5, H, W) input: jitter the colour, then flip, rotate and
     crop every channel. Colour resamples bilinearly; depth and box mask use
     nearest neighbour so depth never interpolates across the unknown marker
     and the mask stays binary.
@@ -259,8 +258,8 @@ def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
     that part of the augmented crop; it equals the same slice of the whole
     crop bit for bit (the jitter's contrast still uses the whole image's
     mean grey level)."""
-    if inp.channels.shape[1:] != (rec.image_h, rec.image_w):
-        raise AugmentError(f"input size {inp.channels.shape[1:]} does not match record "
+    if inp.shape[1:] != (rec.image_h, rec.image_w):
+        raise AugmentError(f"input size {inp.shape[1:]} does not match record "
                            f"{(rec.image_h, rec.image_w)}")
     _, _, ch, cw = rec.crop
     if window is None:
@@ -268,15 +267,14 @@ def apply_to_input(inp: InputTensor, rec: AugmentationRecord,
     wr, wc, wh, ww = window
     if wr < 0 or wc < 0 or wh <= 0 or ww <= 0 or wr + wh > ch or wc + ww > cw:
         raise AugmentError(f"window {window} is not inside the {ch}x{cw} crop")
-    colour = inp.channels[:3]
+    colour = inp[:3]
     brightness, contrast, _ = rec.jitter
     mean = _grey(colour * brightness).mean() if contrast != 1.0 else None
     warp = _WindowWarp(rec, window)
-    out = np.concatenate([
+    return np.concatenate([
         warp.sample(colour, True, 0.0, lambda c: _apply_jitter(c, rec.jitter, mean)),
-        warp.sample(inp.channels[3:], False, 0.0),
+        warp.sample(inp[3:], False, 0.0),
     ])
-    return InputTensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +339,26 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
     ys, xs = np.divmod(q, w)
     if rec.flip:
         xs = (w - 1) - xs
-    xs = xs.astype(np.float64)
-    ys = ys.astype(np.float64)
-    if rec.rotation_deg != 0.0:
+    if rec.rotation_deg == 0.0:
+        # an integer index map: each pixel reads one crop pixel
+        xs -= c0
+        ys -= r0
+        rows = q
+        if (ch, cw) != (h, w):
+            inside = (xs >= 0) & (xs < cw) & (ys >= 0) & (ys < ch)
+            rows, xs, ys = q[inside], xs[inside], ys[inside]
+        tap_y, tap_x = ys[None], xs[None]
+        wts = np.ones((1, rows.size))
+    else:
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         rad = math.radians(rec.rotation_deg)
         cos, sin = math.cos(rad), math.sin(rad)
         dx, dy = xs - cx, ys - cy
         # content moved by +deg, so original content at q now sits at R(+deg) q
-        xs = cos * dx - sin * dy + cx
-        ys = sin * dx + cos * dy + cy
-    xs -= c0
-    ys -= r0
-    valid = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
-    rows, xs, ys = q[valid], xs[valid], ys[valid]
-    if rec.rotation_deg == 0.0:
-        tap_y, tap_x = ys.astype(np.intp)[None], xs.astype(np.intp)[None]
-        wts = np.ones((1, rows.size))
-    else:
+        xs = cos * dx - sin * dy + cx - c0
+        ys = sin * dx + cos * dy + cy - r0
+        valid = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
+        rows, xs, ys = q[valid], xs[valid], ys[valid]
         x0 = np.minimum(np.maximum(np.floor(xs), 0), max(cw - 2, 0)).astype(np.intp)
         y0 = np.minimum(np.maximum(np.floor(ys), 0), max(ch - 2, 0)).astype(np.intp)
         x1 = np.minimum(x0 + 1, cw - 1)

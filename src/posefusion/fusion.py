@@ -5,6 +5,8 @@ carrying its raw activation. Per joint, one softmax spans the points of
 all views and the prediction is the weights' centre of mass. One kernel,
 ``soft_center``, computes that centre; ``soft_center_stack`` records it
 on the tape with its adjoint, so the 3D loss backpropagates through it.
+``masked_soft_centers`` is its row-wise form for points that differ per
+row, as the baseline lifting has.
 
 A pose is a dict {joint name: (3,) float64 array in meters, or None for
 an absent joint} over ``JOINT_NAMES``; ``pose_distances`` scores one
@@ -26,6 +28,7 @@ __all__ = [
     "JOINT_TYPES",
     "view_cloud_coords",
     "soft_center",
+    "masked_soft_centers",
     "soft_center_stack",
     "pose_distances",
     "round_half_up",
@@ -62,11 +65,24 @@ def view_cloud_coords(depth: DepthImage, camera: Camera) -> np.ndarray:
 
 def soft_center(activations: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax-weighted centre of mass over the last axis: (..., I)
-    activations at (I, k) coords give the (..., k) centres and the
-    (..., I) weights."""
+    activations at (I, k) coords, or at coords (..., I, k) that broadcast
+    as a matrix product does, give the (..., k) centres and the (..., I)
+    weights."""
     e = np.exp(activations - activations.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
     return w @ coords, w
+
+
+def masked_soft_centers(activations: np.ndarray, coords: np.ndarray,
+                        mask: np.ndarray) -> np.ndarray:
+    """Per row, the softmax centre of mass over the entries ``mask`` keeps:
+    (R, I) activations at (R, I, k) coords give the (R, k) centres. An
+    entry left out has weight exactly zero, so a row equals
+    ``soft_center`` of its kept entries up to the grouping of the centre's
+    sum. A row that keeps no entry gives the mean of its coords."""
+    logits = np.where(mask, activations, -np.inf)
+    logits[~mask.any(axis=1)] = 0.0
+    return soft_center(logits[:, None, :], coords)[0][:, 0]
 
 
 def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
@@ -112,6 +128,9 @@ def pose_distances(predicted: dict, reference: dict) -> dict:
     """Euclidean distances in meters between two poses of one person,
     {joint name: meters} for every joint present in both; empty when no
     joint is."""
-    return {name: float(np.linalg.norm(predicted[name] - reference[name]))
-            for name in JOINT_NAMES
-            if predicted[name] is not None and reference[name] is not None}
+    distances = {}
+    for name in JOINT_NAMES:
+        if predicted[name] is not None and reference[name] is not None:
+            d = predicted[name] - reference[name]
+            distances[name] = math.sqrt(d @ d)  # np.linalg.norm's arithmetic
+    return distances

@@ -16,7 +16,6 @@ __all__ = [
     "HeatmapError",
     "BoundingBox",
     "DepthImage",
-    "InputTensor",
     "valid_pixel_mask",
     "build_input_tensor",
 ]
@@ -85,38 +84,20 @@ class DepthImage:
         return self.raster > 0.0
 
 
-@dataclass(frozen=True)
-class InputTensor:
-    """The predictor input: colour(3) + depth(1) + box mask(1), stacked."""
-
-    channels: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.channels, dtype=np.float64)
-        if c.ndim != 3 or c.shape[0] != 5:
-            raise HeatmapError(f"input tensor must be 5xHxW, got shape {c.shape}")
-        box = c[4]
-        if not np.all((box == 0.0) | (box == 1.0)):
-            raise HeatmapError("box-mask channel must be binary")
-        object.__setattr__(self, "channels", c)
-
-    @property
-    def height(self) -> int:
-        return self.channels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.channels.shape[2]
-
-
 def valid_pixel_mask(box: BoundingBox, depth: DepthImage) -> np.ndarray:
     """Pixels that survive masking: inside the box and with known depth."""
     h, w = depth.raster.shape
     return box.mask(h, w) & depth.known
 
 
-def build_input_tensor(colour: np.ndarray, depth: DepthImage, box: BoundingBox) -> InputTensor:
-    """Stack colour (3,H,W in [0,1]), depth (meters), and the box mask."""
+def build_input_tensor(colour: np.ndarray, depth: DepthImage, box: BoundingBox,
+                       window: tuple | None = None) -> np.ndarray:
+    """Stack colour (3,H,W in [0,1]), depth (meters), and the box mask into
+    the (5, H, W) predictor input.
+
+    ``window`` = (row, col, height, width) builds only that part of it, as
+    an identity augmentation leaves it: colour clipped to [0, 1], depth and
+    box mask as they are."""
     colour = np.asarray(colour, dtype=np.float64)
     if colour.ndim != 3 or colour.shape[0] != 3:
         raise HeatmapError(f"colour must be 3xHxW, got shape {colour.shape}")
@@ -124,8 +105,18 @@ def build_input_tensor(colour: np.ndarray, depth: DepthImage, box: BoundingBox) 
     if colour.shape[1:] != (h, w):
         raise HeatmapError(f"colour size {colour.shape[1:]} != depth size {(h, w)}")
     box.validate_within(h, w)
-    channels = np.empty((5, h, w))
-    channels[0:3] = colour
-    channels[3] = depth.raster
-    channels[4] = box.mask(h, w)
-    return InputTensor(channels)
+    if window is None:
+        channels = np.empty((5, h, w))
+        channels[0:3] = colour
+        channels[3] = depth.raster
+        channels[4] = box.mask(h, w)
+        return channels
+    top, left, wh, ww = window
+    if top < 0 or left < 0 or wh <= 0 or ww <= 0 or top + wh > h or left + ww > w:
+        raise HeatmapError(f"window {window} is not inside the {h}x{w} image")
+    rows, cols = slice(top, top + wh), slice(left, left + ww)
+    channels = np.empty((5, wh, ww))
+    np.clip(colour[:, rows, cols], 0.0, 1.0, out=channels[0:3])
+    channels[3] = depth.raster[rows, cols]
+    channels[4] = box.mask(h, w)[rows, cols]
+    return channels

@@ -37,8 +37,8 @@ from .data import (
 from .fusion import (
     JOINT_NAMES,
     JOINT_TYPES,
+    masked_soft_centers,
     pose_distances,
-    soft_center,
     soft_center_stack,
     _multi_view_soft_centers,
     view_cloud_coords,
@@ -179,18 +179,18 @@ class ViewForward:
         return out
 
 
-def _predictor_input(inp, rec, footprint: tuple) -> tuple:
-    """The augmented input the predictor needs for ``footprint`` (row,
-    col, height, width within the crop): the footprint grown by HALO and
-    clipped to the crop, and the margins (top, bottom, left, right) it
-    holds beyond the footprint."""
+def _input_window(rec, footprint: tuple) -> tuple:
+    """The part of the augmented crop the predictor reads for
+    ``footprint`` (row, col, height, width within the crop): the footprint
+    grown by HALO and clipped to the crop, and the margins (top, bottom,
+    left, right) it holds beyond the footprint."""
     top, left, h, w = footprint
     _, _, ch, cw = rec.crop
     margins = (min(top, HALO), min(ch - top - h, HALO),
                min(left, HALO), min(cw - left - w, HALO))
     window = (top - margins[0], left - margins[2],
               h + margins[0] + margins[1], w + margins[2] + margins[3])
-    return apply_to_input(inp, rec, window).channels, margins
+    return window, margins
 
 
 def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
@@ -210,6 +210,11 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
     whole-crop run. The warp gathers the (J, n) activations of the valid
     pixels that have a pre-image in the crop; a view with none of them
     runs no predictor.
+
+    A view without a record, or with an identity record (every inference
+    view), builds only that window of its input and runs no augmentation;
+    its inverse warp is the valid pixels' index map into the footprint.
+    Both give the bits of the augmenting route.
 
     With ``oracle_heatmaps``, the predictor and augmentation are bypassed
     and the given heatmaps are fused; this is the oracle path used by
@@ -241,8 +246,13 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                 rec = identity_record(sv.height, sv.width)
             warp = inverse_warp(rec, valid, footprint=True)
             if warp.rows.size:
-                inp = build_input_tensor(sv.colour, sv.depth, box)
-                heat = predictor.forward(tape, *_predictor_input(inp, rec, warp.window))
+                window, margins = _input_window(rec, warp.window)
+                if rec.is_identity:
+                    inp = build_input_tensor(sv.colour, sv.depth, box, window)
+                else:
+                    inp = apply_to_input(build_input_tensor(sv.colour, sv.depth, box),
+                                         rec, window)
+                heat = predictor.forward(tape, inp, margins)
             else:
                 heat = Tensor(np.zeros((J, 0, 0)))
             rows = warp.rows
@@ -283,8 +293,9 @@ def lift_and_fuse_2d(forwards: list, coms: list, depths: list) -> dict | None:
     that pixel's activation and shared-frame position for the joint, and
     counts only where the depth is known there and the view has a valid
     pixel. Per joint, a softmax over the activations of the counting
-    views weights their positions; a joint no view counts for is absent.
-    Returns the pose, or None if every joint is absent.
+    views weights their positions, one masked softmax over the (J, V)
+    block; a joint no view counts for is absent. Returns the pose, or None
+    if every joint is absent.
 
     A pixel the view does not fuse (outside the box, or with no
     pre-image in the crop) reads the exclusion value ε, low enough that
@@ -306,11 +317,11 @@ def lift_and_fuse_2d(forwards: list, coms: list, depths: list) -> dict | None:
         points.append(f.cloud[pix])
         known.append((depth.ravel()[pix] > 0.0) & f.valid.any())
     values, points, known = (np.stack(arrays, axis=1) for arrays in (values, points, known))
-    pose = {}
-    for j, name in enumerate(JOINT_NAMES):
-        keep = known[j]
-        pose[name] = soft_center(values[j, keep], points[j, keep])[0] if keep.any() else None
-    return pose if any(p is not None for p in pose.values()) else None
+    counted = known.any(axis=1)
+    if not counted.any():
+        return None
+    centres = masked_soft_centers(values, points, known)
+    return {name: c if k else None for name, c, k in zip(JOINT_NAMES, centres, counted)}
 
 
 def _mean_distance(tape: Tape, predictions: list, targets: list) -> Tensor | None:
@@ -452,7 +463,8 @@ def train(cfg: TrainConfig, scenes: list | None = None) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     predictor = ToyPredictor.initialise(cfg.seed)
     state = AdamState(lr=cfg.lr)
-    coords_cache: dict = {}
+    # one cloud cache per scene: scene ids repeat across datasets
+    coords_caches = [{} for _ in scenes]
     curve = []
     best = np.inf
     best_epoch = -1
@@ -483,7 +495,7 @@ def train(cfg: TrainConfig, scenes: list | None = None) -> TrainResult:
                         records[v] = identity_record(sv.height, sv.width)
                 tape = Tape()
                 forwards = forward_scene(predictor, scene, person, records, tape,
-                                         coords_cache=coords_cache)
+                                         coords_cache=coords_caches[idx])
                 if not any(f.valid.any() for f in forwards):
                     continue
                 if cfg.mode == "proposed-3d":
@@ -561,6 +573,12 @@ class EvalReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
+def _mean(values: list) -> float:
+    """The mean of a list of floats in ``np.mean``'s own arithmetic (one
+    ``np.add.reduce``, then a division), without its overhead."""
+    return float(np.add.reduce(values) / len(values))
+
+
 def _type_scores(distances: dict) -> dict:
     """Per-joint-type MPJPE in cm from {(person-key, joint-name): meters},
     averaging the left and right part scores of paired types."""
@@ -569,9 +587,9 @@ def _type_scores(distances: dict) -> dict:
         per_joint.setdefault(name, []).append(dist)
     scores = {}
     for jtype, members in JOINT_TYPES.items():
-        member_scores = [np.mean(per_joint[m]) * 100.0 for m in members if m in per_joint]
+        member_scores = [_mean(per_joint[m]) * 100.0 for m in members if m in per_joint]
         if member_scores:
-            scores[jtype] = float(np.mean(member_scores))
+            scores[jtype] = _mean(member_scores)
     return scores
 
 
@@ -586,12 +604,13 @@ def evaluate(scenes: list, mode: str, predictor: ToyPredictor | None = None,
         raise PipelineError("evaluate needs a predictor or an oracle configuration")
     if not scenes:
         raise PipelineError("evaluation dataset is empty")
-    coords_cache: dict = {}
     all_dists = {}
     bucket_dists = {}
     bucket_poses = {}
     pose_count = 0
     for si, scene in enumerate(scenes):
+        # one cloud cache per scene: scene ids repeat across datasets
+        coords_cache: dict = {}
         for person in scene.persons():
             support = len(scene.supporting_views(person))
             if support == 0:
@@ -612,14 +631,14 @@ def evaluate(scenes: list, mode: str, predictor: ToyPredictor | None = None,
     scores = _type_scores(all_dists)
     if not scores:
         raise PipelineError("no scorable poses in evaluation dataset")
-    scores["average"] = float(np.mean([scores[t] for t in JOINT_TYPES if t in scores]))
+    scores["average"] = _mean([scores[t] for t in JOINT_TYPES if t in scores])
 
     per_view = {}
     for support, dists in sorted(bucket_dists.items()):
         s = _type_scores(dists)
         entry = {t: s[t] for t in VIEW_BUCKET_TYPES if t in s}
         if entry:
-            entry["average"] = float(np.mean(list(entry.values())))
+            entry["average"] = _mean(list(entry.values()))
         entry["pose_count"] = bucket_poses[support]
         per_view[str(support)] = entry
 

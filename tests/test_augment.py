@@ -18,7 +18,7 @@ from posefusion.augment import (
     sample_augmentation,
 )
 from posefusion.gradcheck import augment_adjoint_error
-from posefusion.heatmap import DEFAULT_EPSILON, InputTensor
+from posefusion.heatmap import DEFAULT_EPSILON
 H, W = 16, 20
 
 
@@ -39,7 +39,7 @@ def _input(rng, h=H, w=W):
     channels[:3] = rng.random((3, h, w))
     channels[3] = rng.uniform(0.5, 4.0, size=(h, w))
     channels[4] = (rng.random((h, w)) > 0.5).astype(float)
-    return InputTensor(channels)
+    return channels
 
 
 class TestSampling:
@@ -82,7 +82,7 @@ class TestApplyToInput:
     def test_identity_record_is_exact_identity(self, rng):
         inp = _input(rng)
         out = apply_to_input(inp, identity_record(H, W))
-        np.testing.assert_array_equal(out.channels, inp.channels)
+        np.testing.assert_array_equal(out, inp)
 
     def test_flip_reverses_box_mask_columns(self, rng):
         inp = _input(rng)
@@ -90,7 +90,7 @@ class TestApplyToInput:
                                  crop=(0, 0, H, W), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
         out = apply_to_input(inp, rec)
-        np.testing.assert_array_equal(out.channels[4], inp.channels[4][:, ::-1])
+        np.testing.assert_array_equal(out[4], inp[4][:, ::-1])
 
     def test_crop_selects_window(self, rng):
         inp = _input(rng)
@@ -98,31 +98,29 @@ class TestApplyToInput:
                                  crop=(2, 3, 12, 16), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
         out = apply_to_input(inp, rec)
-        np.testing.assert_array_equal(out.channels, inp.channels[:, 2:14, 3:19])
+        np.testing.assert_array_equal(out, inp[:, 2:14, 3:19])
 
     def test_rotation_keeps_mask_binary_and_area(self):
-        channels = np.zeros((5, H, W))
-        channels[4, 4:12, 6:14] = 1.0  # 64-pixel box mask
-        inp = InputTensor(channels)
+        inp = np.zeros((5, H, W))
+        inp[4, 4:12, 6:14] = 1.0  # 64-pixel box mask
         rec = AugmentationRecord(image_h=H, image_w=W, flip=False,
                                  crop=(1, 2, 12, 16), rotation_deg=15.0,
                                  jitter=(1.0, 1.0, 1.0))
         out = apply_to_input(inp, rec)
-        mask = out.channels[4]
+        mask = out[4]
         assert set(np.unique(mask)) <= {0.0, 1.0}
         # nearest-neighbour resampling preserves the area within 5%
         assert abs(mask.sum() - 64.0) / 64.0 < 0.05
 
     def test_depth_never_interpolated(self, rng):
         # a depth raster holding only {0, 3} must still hold only {0, 3}
-        channels = np.zeros((5, H, W))
-        channels[3] = np.where(rng.random((H, W)) > 0.5, 3.0, 0.0)
-        inp = InputTensor(channels)
+        inp = np.zeros((5, H, W))
+        inp[3] = np.where(rng.random((H, W)) > 0.5, 3.0, 0.0)
         rec = AugmentationRecord(image_h=H, image_w=W, flip=True,
                                  crop=(0, 0, H, W), rotation_deg=-11.0,
                                  jitter=(1.0, 1.0, 1.0))
         out = apply_to_input(inp, rec)
-        assert set(np.unique(out.channels[3])) <= {0.0, 3.0}
+        assert set(np.unique(out[3])) <= {0.0, 3.0}
 
     def test_jitter_touches_colour_only(self, rng):
         inp = _input(rng)
@@ -130,9 +128,9 @@ class TestApplyToInput:
                                  crop=(0, 0, H, W), rotation_deg=0.0,
                                  jitter=(1.1, 0.9, 1.15))
         out = apply_to_input(inp, rec)
-        assert not np.array_equal(out.channels[:3], inp.channels[:3])
-        np.testing.assert_array_equal(out.channels[3:], inp.channels[3:])
-        assert out.channels[:3].min() >= 0.0 and out.channels[:3].max() <= 1.0
+        assert not np.array_equal(out[:3], inp[:3])
+        np.testing.assert_array_equal(out[3:], inp[3:])
+        assert out[:3].min() >= 0.0 and out[:3].max() <= 1.0
 
     def test_window_equals_slice_of_whole_crop(self):
         g = np.random.default_rng(3)
@@ -140,11 +138,11 @@ class TestApplyToInput:
         for rec in [sample_augmentation(_config(jitter_low=0.5, jitter_high=1.5), g)
                     for _ in range(20)] + [identity_record(H, W)]:
             _, _, ch, cw = rec.crop
-            whole = apply_to_input(inp, rec).channels
+            whole = apply_to_input(inp, rec)
             for _ in range(3):
                 wr, wc = int(g.integers(0, ch)), int(g.integers(0, cw))
                 wh, ww = int(g.integers(1, ch - wr + 1)), int(g.integers(1, cw - wc + 1))
-                part = apply_to_input(inp, rec, (wr, wc, wh, ww)).channels
+                part = apply_to_input(inp, rec, (wr, wc, wh, ww))
                 np.testing.assert_array_equal(part, whole[:, wr:wr + wh, wc:wc + ww])
         with pytest.raises(AugmentError, match="window"):
             apply_to_input(inp, identity_record(H, W), (0, 0, H + 1, W))
@@ -155,7 +153,7 @@ class TestApplyToInput:
         # warp, bit for bit, on whole crops and on windows of them
         g = np.random.default_rng(5)
         inp = _input(g)
-        colour = inp.channels[:3]
+        colour = inp[:3]
         records = [sample_augmentation(_config(jitter_low=0.5, jitter_high=1.5), g)
                    for _ in range(20)]
         assert any(r.flip for r in records) and all(r.rotation_deg != 0.0 for r in records)
@@ -163,7 +161,7 @@ class TestApplyToInput:
             mean = augment._grey(colour * rec.jitter[0]).mean()
             jittered = augment._apply_jitter(colour, rec.jitter, mean)
             want = np.stack([apply_geometric(c, rec, bilinear=True) for c in jittered]
-                            + [apply_geometric(c, rec, bilinear=False) for c in inp.channels[3:]])
+                            + [apply_geometric(c, rec, bilinear=False) for c in inp[3:]])
             _, _, ch, cw = rec.crop
             windows = [(0, 0, ch, cw)]
             for _ in range(3):
@@ -171,7 +169,7 @@ class TestApplyToInput:
                 windows.append((wr, wc, int(g.integers(1, ch - wr + 1)),
                                 int(g.integers(1, cw - wc + 1))))
             for wr, wc, wh, ww in windows:
-                got = apply_to_input(inp, rec, (wr, wc, wh, ww)).channels
+                got = apply_to_input(inp, rec, (wr, wc, wh, ww))
                 assert np.array_equal(got, want[:, wr:wr + wh, wc:wc + ww]), (rec, wr, wc)
 
 

@@ -8,6 +8,7 @@ from posefusion import pipeline as P
 from posefusion import tensorgrad as tg
 from posefusion.fusion import (
     JOINT_NAMES,
+    masked_soft_centers,
     pose_distances,
     round_half_up,
     soft_center,
@@ -106,6 +107,57 @@ class TestAggregate:
         a, _ = soft_center(np.where(valid, raw_a, EPS).ravel(), coords)
         b, _ = soft_center(np.where(valid, raw_b, EPS).ravel(), coords)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+class TestMaskedSoftCenters:
+    """``masked_soft_centers``: one softmax per row of a (J, V) block over
+    the entries its mask keeps, each row with its own points, as the
+    baseline lifting fuses a joint over the views that count for it."""
+
+    # The block regroups each centre's sum. Measured against one
+    # ``soft_center`` per row on 2000 random (10, V) blocks per V: bitwise
+    # up to three entries per row, within 7.1e-16 of the row's largest
+    # point coordinate with four to eight.
+    BOUND = 2e-15
+
+    def test_rows_match_per_row_soft_center(self):
+        g = np.random.default_rng(8)
+        worst, empty = 0.0, 0
+        for v in range(1, 9):
+            for _ in range(200):
+                acts = g.normal(size=(10, v)) * g.choice([0.1, 1.0, 10.0])
+                points = g.normal(size=(10, v, 3)) + 3.0 * g.normal(size=3)
+                keep = g.random((10, v)) < 0.7
+                centres = masked_soft_centers(acts, points, keep)
+                assert centres.shape == (10, 3)
+                for j in range(10):
+                    if not keep[j].any():
+                        empty += 1
+                        continue
+                    want, _ = soft_center(acts[j, keep[j]], points[j, keep[j]])
+                    scale = np.abs(points[j, keep[j]]).max()
+                    worst = max(worst, np.abs(centres[j] - want).max() / scale)
+        assert worst <= self.BOUND and empty > 0
+        print(f"\nworst difference of the largest coordinate: {worst:.2e}")
+
+    def test_masked_entries_carry_no_weight(self, rng):
+        acts = rng.normal(size=(4, 5))
+        points = rng.normal(size=(4, 5, 3))
+        keep = np.ones((4, 5), dtype=bool)
+        keep[:, 2] = False
+        moved_acts, moved_points = acts.copy(), points.copy()
+        moved_acts[:, 2] = 1e3
+        moved_points[:, 2] = 1e6
+        np.testing.assert_array_equal(masked_soft_centers(acts, points, keep),
+                                      masked_soft_centers(moved_acts, moved_points, keep))
+
+    def test_row_keeping_nothing_stays_finite(self, rng):
+        # an all-masked row would be a softmax of -inf alone, NaN; it gives
+        # the mean of its points instead, which callers drop
+        points = rng.normal(size=(2, 3, 3))
+        keep = np.array([[True, False, True], [False, False, False]])
+        centres = masked_soft_centers(rng.normal(size=(2, 3)), points, keep)
+        np.testing.assert_allclose(centres[1], points[1].mean(axis=0), rtol=1e-15, atol=1e-15)
 
 
 class TestAggregateAdjoint:
@@ -361,15 +413,15 @@ class TestLiftAndFuse2d:
 
     @staticmethod
     def _softmax_inputs(monkeypatch):
-        """Record the (activations, points) each fused joint's softmax
-        receives, in joint order."""
+        """Record, per lifting, the activations each joint's softmax
+        receives (those of the views that count for it), in joint order."""
         calls = []
 
-        def spy(values, points):
-            calls.append((values, points))
-            return soft_center(values, points)
+        def spy(values, points, known):
+            calls.append([v[k] for v, k in zip(values, known)])
+            return masked_soft_centers(values, points, known)
 
-        monkeypatch.setattr(P, "soft_center", spy)
+        monkeypatch.setattr(P, "masked_soft_centers", spy)
         return calls
 
     def test_single_view_returns_lifted_point(self):
@@ -415,6 +467,71 @@ class TestLiftAndFuse2d:
         assert self._head([view], (2.6, 2.4))[2] == pytest.approx(1.0)  # pixel (3, 2)
         assert self._head([view], (2.5, 1.5))[2] == pytest.approx(1.0)  # halves round up
         assert self._head([view], (-3.0, 7.0))[2] == pytest.approx(3.0)  # clamped to (0, 4)
+
+    def test_joint_no_view_counts_is_absent(self):
+        # the head's pixel has unknown depth in both views; every other
+        # joint is fused
+        hole = np.full((5, 5), 2.0)
+        hole[1, 3] = 0.0
+        pose = self._fuse([self._view(0, hole), self._view(1, hole)], (3.0, 1.0))
+        assert pose["head"] is None
+        for name in JOINT_NAMES[1:]:
+            np.testing.assert_allclose(pose[name], [0.25, 0.0, 2.0], atol=1e-12)
+
+    def test_block_lift_matches_per_joint_reference(self, monkeypatch):
+        # each fused joint equals one soft_center over the views that count
+        # for it, within TestMaskedSoftCenters.BOUND of the largest point
+        # coordinate; a joint no view counts for is None
+        from posefusion.data import SynthConfig, generate_synthetic
+
+        calls = []
+
+        def spy(values, points, known):
+            calls.append((values, points, known))
+            return masked_soft_centers(values, points, known)
+
+        monkeypatch.setattr(P, "masked_soft_centers", spy)
+        poses = []
+        _, scenes = generate_synthetic(SynthConfig(train_scenes=0, test_scenes=6, seed=505,
+                                                   occlusion_drop=0.35))
+        predictor = P.ToyPredictor.initialise(0)
+        for scene in scenes:
+            for person in scene.persons():
+                if scene.supporting_views(person):
+                    calls.clear()
+                    poses.append((P._predict_pose3(predictor, scene, person, "baseline-2d"),
+                                  list(calls)))
+        # random activations in three views; each joint's pixel lies on a
+        # hole in none, some or all of them
+        g = np.random.default_rng(4)
+        depth = np.full((5, 5), 2.0)
+        depth[1, 3] = 0.0
+        holes = [depth.copy() for _ in range(3)]
+        holes[1][2, 2] = holes[2][3, 1] = 0.0
+        forwards = []
+        for v, d in enumerate(holes):
+            f, _ = self._view(v % 2, d, valid=np.ones((5, 5), dtype=bool))
+            forwards.append(P.ViewForward(f.view, tg.Tensor(g.normal(size=f.acts.shape)),
+                                          f.rows, f.valid, f.cloud))
+        coms = [np.tile([(3.0, 1.0), (2.0, 2.0), (1.0, 3.0), (0.0, 0.0), (4.0, 4.0)], (2, 1))
+                + g.uniform(-0.4, 0.4, size=(len(JOINT_NAMES), 2)) for _ in forwards]
+        calls.clear()
+        poses.append((P.lift_and_fuse_2d(forwards, coms, holes), list(calls)))
+
+        checked = absent = 0
+        for pose, ((values, points, known),) in ((p, c) for p, c in poses if c):
+            for j, name in enumerate(JOINT_NAMES):
+                keep = known[j]
+                if not keep.any():
+                    assert pose is None or pose[name] is None
+                    absent += 1
+                    continue
+                want, _ = soft_center(values[j, keep], points[j, keep])
+                scale = np.abs(points[j, keep]).max()
+                assert np.abs(pose[name] - want).max() <= TestMaskedSoftCenters.BOUND * scale
+                checked += 1
+        assert checked > 100 and absent >= 2
+        assert all(pose is None for pose, c in poses if not c)
 
     def test_pixel_outside_the_fused_pixels_reads_epsilon(self, monkeypatch):
         # view 1 knows the depth everywhere but fuses only pixel 0, so the

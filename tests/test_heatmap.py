@@ -8,7 +8,6 @@ from posefusion.heatmap import (
     BoundingBox,
     DepthImage,
     HeatmapError,
-    InputTensor,
     build_input_tensor,
     valid_pixel_mask,
 )
@@ -95,16 +94,27 @@ class TestInputTensor:
     def test_channel_order_and_box_area(self, rng):
         colour, depth, box = self._parts(rng)
         inp = build_input_tensor(colour, depth, box)
-        assert inp.channels.shape == (5, 6, 8)
-        np.testing.assert_array_equal(inp.channels[:3], colour)
-        np.testing.assert_array_equal(inp.channels[3], depth.raster)
-        assert inp.channels[4].sum() == box.area
+        assert inp.shape == (5, 6, 8)
+        np.testing.assert_array_equal(inp[:3], colour)
+        np.testing.assert_array_equal(inp[3], depth.raster)
+        assert inp[4].sum() == box.area
 
     def test_size_mismatch_rejected(self, rng):
         colour, depth, box = self._parts(rng)
         with pytest.raises(HeatmapError, match="size"):
             build_input_tensor(colour[:, :4, :], depth, box)
 
-    def test_mask_channel_must_be_binary(self):
-        with pytest.raises(HeatmapError, match="binary"):
-            InputTensor(np.full((5, 2, 2), 0.5))
+    def test_window_is_a_slice_with_clipped_colour(self, rng):
+        colour, depth, box = self._parts(rng)
+        colour = 1.4 * colour - 0.2
+        whole = build_input_tensor(colour, depth, box)
+        for window in [(0, 0, 6, 8), (1, 2, 3, 5), (5, 7, 1, 1), (0, 6, 6, 2)]:
+            top, left, wh, ww = window
+            part = build_input_tensor(colour, depth, box, window)
+            want = whole[:, top:top + wh, left:left + ww].copy()
+            want[:3] = np.clip(want[:3], 0.0, 1.0)
+            np.testing.assert_array_equal(part, want)
+        for window in [(-1, 0, 2, 2), (0, 0, 7, 8), (0, 7, 1, 2), (2, 2, 0, 1)]:
+            with pytest.raises(HeatmapError, match="window"):
+                build_input_tensor(colour, depth, box, window)
+

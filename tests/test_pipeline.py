@@ -1,5 +1,6 @@
 """Predictor, per-person forward chain, training loops, and evaluation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,21 +10,29 @@ from posefusion import pipeline as P
 from posefusion.augment import (
     AugmentationConfig,
     AugmentationRecord,
+    InverseWarp,
     apply_to_input,
     identity_record,
     inverse_warp,
     invert_on_heatmap_tensor,
     sample_augmentation,
 )
-from posefusion.data import SynthConfig, generate_synthetic
+from posefusion.data import Scene, SceneView, SynthConfig, generate_synthetic
 from posefusion.fusion import (
     JOINT_NAMES,
     _multi_view_soft_centers,
     soft_center_stack,
     view_cloud_coords,
 )
+from posefusion.geometry import Camera
 from posefusion.gradcheck import tiny_synth_config
-from posefusion.heatmap import DEFAULT_EPSILON, build_input_tensor, valid_pixel_mask
+from posefusion.heatmap import (
+    DEFAULT_EPSILON,
+    BoundingBox,
+    DepthImage,
+    build_input_tensor,
+    valid_pixel_mask,
+)
 from posefusion.pipeline import (
     PipelineError,
     ToyPredictor,
@@ -175,8 +184,7 @@ def _whole_crop_forward(predictor, scene, person, records, tape):
         valid = valid_pixel_mask(box, sv.depth)
         rec = records[sv.view]
         inp = build_input_tensor(sv.colour, sv.depth, box)
-        inv = invert_on_heatmap_tensor(tape, predictor.forward(tape, apply_to_input(inp, rec).channels),
-                                       rec)
+        inv = invert_on_heatmap_tensor(tape, predictor.forward(tape, apply_to_input(inp, rec)), rec)
         every = inverse_warp(rec).rows
         keep = valid.ravel()[every]
         out.append(P.ViewForward(sv.view, _take(tape, inv, np.flatnonzero(keep)),
@@ -276,6 +284,160 @@ class TestWindowedForward:
                 assert diff <= 1e-12 * largest, (where, name, diff)
 
 
+def _float_inverse_warp(rec, keep):
+    """The footprint inverse warp of a record without rotation, in the
+    float arithmetic it had before it became an integer index map."""
+    h, w = rec.image_h, rec.image_w
+    r0, c0, ch, cw = rec.crop
+    q = np.flatnonzero(keep)
+    ys, xs = np.divmod(q, w)
+    if rec.flip:
+        xs = (w - 1) - xs
+    xs = xs.astype(np.float64) - c0
+    ys = ys.astype(np.float64) - r0
+    inside = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
+    rows = q[inside]
+    tap_y, tap_x = ys[inside].astype(np.intp)[None], xs[inside].astype(np.intp)[None]
+    window = (0, 0, 0, 0)
+    if rows.size:
+        top, left = int(tap_y.min()), int(tap_x.min())
+        window = (top, left, int(tap_y.max()) + 1 - top, int(tap_x.max()) + 1 - left)
+    idx = (tap_y - window[0]) * window[3] + tap_x - window[1]
+    return InverseWarp(rows=rows, idx=idx, wts=np.ones((1, rows.size)), window=window)
+
+
+def _warp_route_forward(predictor, scene, person, records, tape, coords_cache=None):
+    """forward_scene as every view ran it before un-augmented views skipped
+    augmentation: the whole input built, its window augmented by
+    apply_to_input, and the activations inverted through the float warp.
+    Records without rotation only; ``coords_cache`` is ignored."""
+    out = []
+    for sv in scene.views:
+        if person not in sv.boxes:
+            continue
+        box = sv.boxes[person]
+        valid = valid_pixel_mask(box, sv.depth)
+        rec = records.get(sv.view) if records else None
+        if rec is None:
+            rec = identity_record(sv.height, sv.width)
+        warp = _float_inverse_warp(rec, valid)
+        heat = Tensor(np.zeros((len(JOINT_NAMES), 0, 0)))
+        if warp.rows.size:
+            window, margins = P._input_window(rec, warp.window)
+            inp = apply_to_input(build_input_tensor(sv.colour, sv.depth, box), rec, window)
+            heat = predictor.forward(tape, inp, margins)
+        out.append(P.ViewForward(sv.view, invert_on_heatmap_tensor(tape, heat, rec, warp),
+                                 warp.rows, valid, view_cloud_coords(sv.depth, sv.camera)))
+    return out
+
+
+# (x_min, y_min, x_max, y_max) of one person's box in each view of a 12x16
+# image: on the top, bottom, left and right borders (the predictor's input
+# window is cut short there, margins < HALO), covering the image, one
+# pixel (inside, in a corner, on a border), and over unknown depth only
+_BORDER_BOXES = [(2, 0, 7, 4), (9, 8, 14, 12), (0, 3, 4, 9), (11, 2, 16, 7), (0, 0, 16, 12),
+                 (7, 5, 8, 6), (15, 11, 16, 12), (0, 7, 1, 8), (10, 0, 13, 3)]
+
+
+def _border_scene():
+    """One person seen in a view per box of _BORDER_BOXES. Depth has holes
+    (and none at the one-pixel boxes) and is unknown under the last box;
+    colour reaches outside [0, 1], which an identity augmentation clips."""
+    rng = np.random.default_rng(11)
+    h, w = 12, 16
+    depth = rng.uniform(1.0, 4.0, size=(h, w))
+    depth[rng.random((h, w)) < 0.15] = 0.0
+    for x0, y0, x1, y1 in _BORDER_BOXES[5:8]:
+        depth[y0, x0] = 2.5
+    depth[0:3, 10:13] = 0.0
+    views = []
+    for v, (x0, y0, x1, y1) in enumerate(_BORDER_BOXES):
+        views.append(SceneView(
+            view=v, camera=Camera(id=v, fx=14.0, fy=14.0, cx=7.5, cy=5.5),
+            colour=rng.uniform(-0.2, 1.2, size=(3, h, w)),
+            depth=DepthImage(view=v, raster=depth),
+            boxes={0: BoundingBox(view=v, person=0, x_min=x0, y_min=y0, x_max=x1, y_max=y1)}))
+    pose = {name: np.array([0.1 * j, -0.05 * j, 2.0]) for j, name in enumerate(JOINT_NAMES)}
+    return Scene(id="borders", views=views, n_persons=1, joints3d={0: pose},
+                 joints2d={}, visibility={})
+
+
+def _layout(a):
+    return (a.shape, a.strides, a.flags.c_contiguous, a.flags.f_contiguous,
+            a.flags.owndata, a.flags.writeable, a.flags.aligned)
+
+
+class TestUnaugmentedPath:
+    """A view without augmentation (no record, or an identity record)
+    builds only the input window its predictor reads and inverts through
+    the valid pixels' index map into the footprint. It must give the
+    augmenting route's bits: activation values and layout, rows, window,
+    and with a tape the gradients."""
+
+    def test_border_scene_covers_margins_and_sizes(self):
+        scene = _border_scene()
+        cut = set()
+        sizes = []
+        for sv in scene.views:
+            valid = valid_pixel_mask(sv.boxes[0], sv.depth)
+            sizes.append(int(valid.sum()))
+            warp = inverse_warp(identity_record(12, 16), valid, footprint=True)
+            if warp.rows.size:
+                _, margins = P._input_window(identity_record(12, 16), warp.window)
+                cut |= {side for side, m in enumerate(margins) if m < P.HALO}
+        assert cut == {0, 1, 2, 3}
+        assert sizes.count(1) == 3 and sizes[-1] == 0 and sizes[4] < 12 * 16
+
+    def test_window_and_index_map_match_the_warp_route(self):
+        scene = _border_scene()
+        for sv in scene.views:
+            box = sv.boxes[0]
+            valid = valid_pixel_mask(box, sv.depth)
+            ident = identity_record(sv.height, sv.width)
+            flipped = dataclasses.replace(ident, flip=True)
+            cropped = dataclasses.replace(ident, crop=(1, 2, 10, 11))
+            for rec in (ident, flipped, cropped):
+                got, want = inverse_warp(rec, valid, footprint=True), _float_inverse_warp(rec, valid)
+                assert got.window == want.window, (sv.view, rec)
+                for field in ("rows", "idx", "wts"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (sv.view, rec, field)
+            warp = inverse_warp(ident, valid, footprint=True)
+            if not warp.rows.size:
+                continue
+            window, _ = P._input_window(ident, warp.window)
+            direct = build_input_tensor(sv.colour, sv.depth, box, window)
+            routed = apply_to_input(build_input_tensor(sv.colour, sv.depth, box), ident, window)
+            assert _layout(direct) == _layout(routed), sv.view
+            assert direct.tobytes() == routed.tobytes(), sv.view
+
+    @pytest.mark.parametrize("with_tape", [False, True])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_matches_the_warp_route(self, with_tape, record):
+        scene = _border_scene()
+        records = ({sv.view: identity_record(sv.height, sv.width) for sv in scene.views}
+                   if record else None)
+        predictor = ToyPredictor.initialise(2)
+        runs = []
+        for run in (forward_scene, _warp_route_forward):
+            tape = Tape() if with_tape else None
+            forwards = run(predictor, scene, 0, records, tape)
+            grads = {}
+            if with_tape:
+                grads = backward(tape, P._person_loss_3d(tape, forwards, scene.gt_pose3(0)))
+            runs.append((forwards, grads))
+        (got, grads), (want, ref_grads) = runs
+        assert [f.view for f in got] == [f.view for f in want]
+        for f, r in zip(got, want):
+            assert np.array_equal(f.rows, r.rows), f.view
+            assert _layout(f.acts.values) == _layout(r.acts.values), f.view
+            assert f.acts.values.tobytes() == r.acts.values.tobytes(), f.view
+        assert any(f.rows.size == 1 for f in got) and got[-1].rows.size == 0
+        if with_tape:
+            for name, p in predictor.params.items():
+                assert grads[p].tobytes() == ref_grads[p].tobytes(), name
+
+
 def _eps_raster(tape, f):
     """A view's activations scattered into a (J, H*W) raster holding ε at
     every pixel it does not fuse, as a tape node."""
@@ -370,7 +532,34 @@ class TestSparseFusion:
         assert empty and partial
 
 
+def _scenes_sharing_an_id():
+    """Two different scenes with one id: every generated set numbers its
+    scenes from scene_0000. The second scene is returned renamed too."""
+    a = generate_synthetic(tiny_synth_config(1))[0][0]
+    b = generate_synthetic(tiny_synth_config(2))[0][0]
+    assert a.id == b.id
+    return a, b, dataclasses.replace(b, id=b.id + "_b")
+
+
 class TestTraining:
+    @pytest.mark.parametrize("mode", TrainConfig.MODES)
+    def test_no_augment_matches_the_warp_route(self, tiny_scenes, monkeypatch, mode):
+        # un-augmented views skip augmentation; curves and parameters keep
+        # the bits of the route that augments with identity records
+        cfg = TrainConfig(mode=mode, epochs=2, seed=3, augment=False)
+        direct = train(cfg, tiny_scenes[0])
+        monkeypatch.setattr(P, "forward_scene", _warp_route_forward)
+        routed = train(cfg, tiny_scenes[0])
+        assert direct.loss_curve == routed.loss_curve
+        assert direct.best_epoch == routed.best_epoch
+        for name, p in direct.predictor.params.items():
+            assert p.values.tobytes() == routed.predictor.params[name].values.tobytes(), name
+
+    def test_scenes_sharing_an_id_keep_their_own_clouds(self):
+        a, b, renamed = _scenes_sharing_an_id()
+        cfg = TrainConfig(epochs=2, augment=False)
+        assert train(cfg, [a, b]).loss_curve == train(cfg, [a, renamed]).loss_curve
+
     def test_same_seed_gives_identical_curves(self, tiny_scenes):
         train_s, _ = tiny_scenes
         cfg = TrainConfig(mode="proposed-3d", epochs=2, seed=9)
@@ -521,3 +710,9 @@ class TestEvaluation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(PipelineError, match="empty"):
             evaluate([], "proposed-3d", ToyPredictor.initialise(0))
+
+    @pytest.mark.parametrize("mode", TrainConfig.MODES)
+    def test_scenes_sharing_an_id_keep_their_own_clouds(self, mode):
+        a, b, renamed = _scenes_sharing_an_id()
+        shared = evaluate([a, b], mode, oracle_cfg=(1.0, 80.0)).to_json()
+        assert shared == evaluate([a, renamed], mode, oracle_cfg=(1.0, 80.0)).to_json()
