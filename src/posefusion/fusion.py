@@ -57,9 +57,13 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def view_cloud_coords(depth: DepthImage, camera: Camera) -> np.ndarray:
-    """Shared-frame positions of every pixel of a view, row-major (H*W, 3)."""
-    pts = backproject_grid(depth.raster, camera)
+def view_cloud_coords(depth: DepthImage, camera: Camera, rows=None) -> np.ndarray:
+    """Shared-frame positions of a view's pixels: every pixel, row-major
+    (H*W, 3), or the (n, 3) pixels at the flat indices ``rows``, each
+    with the bits it has in the whole cloud. A ``DepthImage`` is checked
+    finite and non-negative when built, so only the depths read here are
+    checked again."""
+    pts = backproject_grid(depth.raster, camera, rows)
     return transform_points(pts, camera.to_reference)
 
 
@@ -120,7 +124,8 @@ def _multi_view_soft_centers(tape: Tape | None, tensors: list[Tensor],
 def soft_center_stack(tape: Tape | None, tensors: list[Tensor],
                       coords_list: list[np.ndarray]) -> Tensor:
     """Differentiable multi-view fusion of (J, n) activation tensors,
-    each with its (n, 3) cloud, into (J, 3) shared-frame predictions."""
+    each with the (n, 3) shared-frame positions of its pixels, into
+    (J, 3) shared-frame predictions."""
     return _multi_view_soft_centers(tape, tensors, coords_list, "soft_center_3d")
 
 

@@ -141,27 +141,26 @@ def backproject_pixel(pixel, depth: float, camera: Camera) -> np.ndarray:
     ])
 
 
-def backproject_grid(depth: np.ndarray, camera: Camera) -> np.ndarray:
-    """Backproject every pixel of a depth raster at once.
-
-    Returns an (H*W, 3) array of camera-frame points in row-major pixel
-    order. Pixels with depth 0 map to the origin.
-    """
+def backproject_grid(depth: np.ndarray, camera: Camera, rows=None) -> np.ndarray:
+    """Backproject a depth raster's pixels, all of them in row-major
+    order or those at the flat indices ``rows``, to an (n, 3) array of
+    camera-frame points. A point has the same bits either way; depth 0
+    maps to the origin. A non-finite or negative depth read raises."""
     depth = np.asarray(depth, dtype=np.float64)
-    if not np.all(np.isfinite(depth)):
-        raise GeometryError("depth raster contains non-finite values")
-    if np.any(depth < 0):
-        raise GeometryError("depth raster contains negative values")
     h, w = depth.shape
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    gx = (xs[None, :] - camera.cx) / camera.fx
-    gy = (ys[:, None] - camera.cy) / camera.fy
-    pts = np.empty((h, w, 3))
-    pts[:, :, 0] = depth * gx
-    pts[:, :, 1] = depth * gy
-    pts[:, :, 2] = depth
-    return pts.reshape(-1, 3)
+    if rows is None:
+        rows = np.arange(h * w)
+    z = depth.ravel()[rows]
+    if not np.isfinite(z).all():
+        raise GeometryError("depth raster contains non-finite values")
+    if (z < 0).any():
+        raise GeometryError("depth raster contains negative values")
+    ys, xs = np.divmod(rows, w)
+    pts = np.empty((z.size, 3))
+    pts[:, 0] = z * ((xs - camera.cx) / camera.fx)
+    pts[:, 1] = z * ((ys - camera.cy) / camera.fy)
+    pts[:, 2] = z
+    return pts
 
 
 def project_point(point: np.ndarray, camera: Camera) -> tuple[float, float]:
@@ -180,8 +179,12 @@ def transform_point(point: np.ndarray, t: RigidTransform) -> np.ndarray:
 
 
 def transform_points(points: np.ndarray, t: RigidTransform) -> np.ndarray:
-    """Apply a rigid transform to an (N, 3) array of points."""
+    """Apply a rigid transform to an (N, 3) array of points, each row with
+    the bits it gets in any batch: numpy sends a lone row to gemv, which
+    can round differently from gemm, so it runs as two."""
     points = np.asarray(points, dtype=np.float64)
+    if len(points) == 1:
+        return transform_points(np.repeat(points, 2, axis=0), t)[:1]
     return points @ t.rotation.T + t.translation
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .augment import (
 )
 from .data import (
     Scene,
+    SceneView,
     _finite_number,
     load_dataset,
     make_target_heatmaps,
@@ -156,20 +158,27 @@ HALO = sum(_RADII)
 
 @dataclass
 class ViewForward:
-    """One (person, view)'s activations at the pixels it fuses: the valid
-    pixels (inside the box, with known depth) that the view's inverse
-    augmentation produces."""
+    """One (person, view)'s activations at the pixels it fuses (the valid
+    pixels, inside the box with known depth, that the view's inverse
+    augmentation produces), and its view, whose pixels lift on demand."""
 
-    view: int
+    scene_view: SceneView
     acts: Tensor              # (J, n) activations at the fused pixels
     rows: np.ndarray          # (n,) flat pixel indices, row-major
     valid: np.ndarray         # (H, W) bool
-    cloud: np.ndarray         # (H*W, 3) shared-frame positions of every pixel
 
     @property
+    def view(self) -> int:
+        return self.scene_view.view
+
+    @cached_property
     def coords(self) -> np.ndarray:
         """(n, 3) shared-frame positions of the fused pixels."""
-        return np.take(self.cloud, self.rows, axis=0)
+        return self.positions(self.rows)
+
+    def positions(self, rows=None) -> np.ndarray:
+        """Shared-frame positions of the pixels at flat indices ``rows``, or of all."""
+        return view_cloud_coords(self.scene_view.depth, self.scene_view.camera, rows)
 
     @property
     def pixels(self) -> np.ndarray:
@@ -195,7 +204,6 @@ def _input_window(rec, footprint: tuple) -> tuple:
 
 def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                   records: dict | None, tape: Tape | None,
-                  coords_cache: dict | None = None,
                   oracle_heatmaps=None) -> list:
     """Run the per-view chain for one person: build input, augment,
     predict, invert the augmentation at the valid pixels. Returns one
@@ -209,7 +217,8 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
     computes the footprint from it; there its outputs equal those of a
     whole-crop run. The warp gathers the (J, n) activations of the valid
     pixels that have a pre-image in the crop; a view with none of them
-    runs no predictor.
+    runs no predictor. No pixel is back-projected here: fusion lifts the
+    ones it reads (``ViewForward.coords``), once.
 
     A view without a record, or with an identity record (every inference
     view), builds only that window of its input and runs no augmentation;
@@ -229,13 +238,6 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
             continue
         box = sv.boxes[person]
         valid = valid_pixel_mask(box, sv.depth)
-        if coords_cache is not None:
-            key = (scene.id, sv.view)
-            if key not in coords_cache:
-                coords_cache[key] = view_cloud_coords(sv.depth, sv.camera)
-            cloud = coords_cache[key]
-        else:
-            cloud = view_cloud_coords(sv.depth, sv.camera)
         if oracle_heatmaps is not None:
             rows = np.flatnonzero(valid)
             acts = Tensor(oracle_heatmaps(sv.view, valid) if callable(oracle_heatmaps)
@@ -257,7 +259,7 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
                 heat = Tensor(np.zeros((J, 0, 0)))
             rows = warp.rows
             acts = invert_on_heatmap_tensor(tape, heat, rec, warp)
-        out.append(ViewForward(sv.view, acts, rows, valid, cloud))
+        out.append(ViewForward(sv, acts, rows, valid))
     return out
 
 
@@ -265,13 +267,13 @@ def fused_centers(tape: Tape | None, forwards: list) -> Tensor:
     """(J, 3) fused joint positions of one person: per joint, the softmax
     centre of mass over every view's fused pixels, in view order.
 
-    With no fused pixel in any view (crops that remove the box), the
-    centre is the mean of the views' whole clouds: the uniform softmax
-    that fusion over every pixel gives when each entry is ε."""
+    With no fused pixel in any view (crops that remove the box), and only
+    then, whole clouds are built: the centre is their mean, the uniform
+    softmax that fusion over every pixel gives when each entry is ε."""
     if any(f.rows.size for f in forwards):
         return soft_center_stack(tape, [f.acts for f in forwards],
                                  [f.coords for f in forwards])
-    cloud = np.concatenate([f.cloud for f in forwards])
+    cloud = np.concatenate([f.positions() for f in forwards])
     return Tensor(np.full((J, len(cloud)), 1.0 / len(cloud)) @ cloud)
 
 
@@ -284,13 +286,13 @@ def _view_centers_2d(tape: Tape | None, f: ViewForward) -> Tensor:
     return Tensor(np.tile([(w - 1) / 2.0, (h - 1) / 2.0], (J, 1)))
 
 
-def lift_and_fuse_2d(forwards: list, coms: list, depths: list) -> dict | None:
+def lift_and_fuse_2d(forwards: list, coms: list) -> dict | None:
     """Baseline-2d lifting of one person's pose from its views' 2D centres.
 
-    ``coms[i]`` holds the (J, 2) 2D centres of view ``forwards[i]`` and
-    ``depths[i]`` its (H, W) depth raster. Each centre is rounded half up
-    to its nearest pixel and clamped to the image; the view contributes
-    that pixel's activation and shared-frame position for the joint, and
+    ``coms[i]`` holds the (J, 2) 2D centres of view ``forwards[i]``. Each
+    centre is rounded half up to its nearest pixel and clamped to the
+    image; the view contributes that pixel's activation and shared-frame
+    position for the joint, back-projected at those J pixels only, and
     counts only where the depth is known there and the view has a valid
     pixel. Per joint, a softmax over the activations of the counting
     views weights their positions, one masked softmax over the (J, V)
@@ -303,7 +305,7 @@ def lift_and_fuse_2d(forwards: list, coms: list, depths: list) -> dict | None:
     activation; a zero would be a live logit and would pull the fused
     joint towards that view's point."""
     values, points, known = [], [], []
-    for f, c, depth in zip(forwards, coms, depths):
+    for f, c in zip(forwards, coms):
         h, w = f.valid.shape
         pix = (np.clip(np.floor(c[:, 1] + 0.5), 0, h - 1) * w
                + np.clip(np.floor(c[:, 0] + 0.5), 0, w - 1)).astype(np.intp)
@@ -314,8 +316,8 @@ def lift_and_fuse_2d(forwards: list, coms: list, depths: list) -> dict | None:
         read = np.full(J, DEFAULT_EPSILON)
         read[fused] = f.acts.values[fused, pos[fused]]
         values.append(read)
-        points.append(f.cloud[pix])
-        known.append((depth.ravel()[pix] > 0.0) & f.valid.any())
+        points.append(f.positions(pix))
+        known.append((f.scene_view.depth.raster.ravel()[pix] > 0.0) & f.valid.any())
     values, points, known = (np.stack(arrays, axis=1) for arrays in (values, points, known))
     counted = known.any(axis=1)
     if not counted.any():
@@ -463,8 +465,6 @@ def train(cfg: TrainConfig, scenes: list | None = None) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     predictor = ToyPredictor.initialise(cfg.seed)
     state = AdamState(lr=cfg.lr)
-    # one cloud cache per scene: scene ids repeat across datasets
-    coords_caches = [{} for _ in scenes]
     curve = []
     best = np.inf
     best_epoch = -1
@@ -494,8 +494,7 @@ def train(cfg: TrainConfig, scenes: list | None = None) -> TrainResult:
                     else:
                         records[v] = identity_record(sv.height, sv.width)
                 tape = Tape()
-                forwards = forward_scene(predictor, scene, person, records, tape,
-                                         coords_cache=coords_caches[idx])
+                forwards = forward_scene(predictor, scene, person, records, tape)
                 if not any(f.valid.any() for f in forwards):
                     continue
                 if cfg.mode == "proposed-3d":
@@ -539,26 +538,22 @@ def train(cfg: TrainConfig, scenes: list | None = None) -> TrainResult:
 
 
 def _predict_pose3(predictor: ToyPredictor | None, scene: Scene, person: int,
-                   mode: str, coords_cache: dict | None = None,
-                   oracle_cfg: tuple | None = None) -> dict | None:
+                   mode: str, oracle_cfg: tuple | None = None) -> dict | None:
     if oracle_cfg is not None:
         sigma, amplitude = oracle_cfg
 
         def oracle(view, valid):
             return make_target_heatmaps(scene, view, person, sigma, amplitude, valid)
 
-        forwards = forward_scene(None, scene, person, None, None,
-                                 coords_cache=coords_cache, oracle_heatmaps=oracle)
+        forwards = forward_scene(None, scene, person, None, None, oracle_heatmaps=oracle)
     else:
-        forwards = forward_scene(predictor, scene, person, None, None,
-                                 coords_cache=coords_cache)
+        forwards = forward_scene(predictor, scene, person, None, None)
     if not forwards or not any(f.valid.any() for f in forwards):
         return None
 
     if mode == "proposed-3d":
         return dict(zip(JOINT_NAMES, fused_centers(None, forwards).values))
-    return lift_and_fuse_2d(forwards, [_view_centers_2d(None, f).values for f in forwards],
-                            [scene.views[f.view].depth.raster for f in forwards])
+    return lift_and_fuse_2d(forwards, [_view_centers_2d(None, f).values for f in forwards])
 
 
 @dataclass
@@ -609,14 +604,11 @@ def evaluate(scenes: list, mode: str, predictor: ToyPredictor | None = None,
     bucket_poses = {}
     pose_count = 0
     for si, scene in enumerate(scenes):
-        # one cloud cache per scene: scene ids repeat across datasets
-        coords_cache: dict = {}
         for person in scene.persons():
             support = len(scene.supporting_views(person))
             if support == 0:
                 continue
-            pred = _predict_pose3(predictor, scene, person, mode,
-                                  coords_cache=coords_cache, oracle_cfg=oracle_cfg)
+            pred = _predict_pose3(predictor, scene, person, mode, oracle_cfg=oracle_cfg)
             if pred is None:
                 continue
             dists = pose_distances(pred, scene.gt_pose3(person))
@@ -654,14 +646,12 @@ def oracle_fusion_mpjpe(scene: Scene, sigma: float = 1.0,
     Returns (pipeline MPJPE cm, bound cm), both averaged over the joints
     that are visible in at least one supporting view.
     """
-    coords_cache: dict = {}
     dists = []
     for person in scene.persons():
         support = scene.supporting_views(person)
         if not support:
             continue
-        pred = _predict_pose3(None, scene, person, "proposed-3d", coords_cache,
-                              (sigma, amplitude))
+        pred = _predict_pose3(None, scene, person, "proposed-3d", (sigma, amplitude))
         if pred is None:
             continue
         gt = scene.joints3d[person]

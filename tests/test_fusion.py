@@ -6,6 +6,7 @@ import pytest
 
 from posefusion import pipeline as P
 from posefusion import tensorgrad as tg
+from posefusion.data import SceneView
 from posefusion.fusion import (
     JOINT_NAMES,
     masked_soft_centers,
@@ -32,6 +33,13 @@ def _pose(**joints):
     pose = {name: None for name in JOINT_NAMES}
     pose.update({name: np.array(p, dtype=float) for name, p in joints.items()})
     return pose
+
+
+def _scene_view(v, depth, camera=None):
+    """View ``v`` with an (H, W) depth raster, seen by ``camera`` (default
+    one at the image origin); no colour and no boxes."""
+    camera = camera or Camera(id=v, fx=1.0, fy=1.0, cx=0.0, cy=0.0)
+    return SceneView(v, camera, None, DepthImage(view=v, raster=depth), {})
 
 
 def _soft_center_vjp(acts_per_view, coords_per_view, g):
@@ -291,8 +299,9 @@ class TestCom2d:
         box = box or BoundingBox(view=0, person=0, x_min=0, y_min=0, x_max=w, y_max=h)
         valid = box.mask(h, w)
         rows = np.flatnonzero(valid)
-        f = P.ViewForward(0, tg.Tensor(np.tile(raster.ravel()[rows], (len(JOINT_NAMES), 1))),
-                          rows, valid, np.zeros((h * w, 3)))
+        f = P.ViewForward(_scene_view(0, np.ones((h, w))),
+                          tg.Tensor(np.tile(raster.ravel()[rows], (len(JOINT_NAMES), 1))),
+                          rows, valid)
         return tuple(P._view_centers_2d(None, f).values[0])
 
     def test_single_survivor_returns_its_coordinates(self):
@@ -394,9 +403,8 @@ class TestLiftAndFuse2d:
         depth = np.asarray(depth, dtype=np.float64)
         valid = depth > 0.0 if valid is None else valid
         rows = np.flatnonzero(valid) if fused is None else np.asarray(fused, dtype=np.intp)
-        cloud = view_cloud_coords(DepthImage(view=v, raster=depth), self.CAMS[v])
         acts = tg.Tensor(np.ones((len(JOINT_NAMES), rows.size)))
-        return P.ViewForward(v, acts, rows, valid, cloud), depth
+        return P.ViewForward(_scene_view(v, depth, self.CAMS[v]), acts, rows, valid)
 
     @staticmethod
     def _fuse(views, head):
@@ -404,8 +412,7 @@ class TestLiftAndFuse2d:
         other joints' at pixel (2, 2)."""
         coms = np.full((len(JOINT_NAMES), 2), 2.0)
         coms[0] = head
-        return P.lift_and_fuse_2d([f for f, _ in views], [coms] * len(views),
-                                  [depth for _, depth in views])
+        return P.lift_and_fuse_2d(views, [coms] * len(views))
 
     def _head(self, views, head):
         fused = self._fuse(views, head)
@@ -510,13 +517,13 @@ class TestLiftAndFuse2d:
         holes[1][2, 2] = holes[2][3, 1] = 0.0
         forwards = []
         for v, d in enumerate(holes):
-            f, _ = self._view(v % 2, d, valid=np.ones((5, 5), dtype=bool))
-            forwards.append(P.ViewForward(f.view, tg.Tensor(g.normal(size=f.acts.shape)),
-                                          f.rows, f.valid, f.cloud))
+            f = self._view(v % 2, d, valid=np.ones((5, 5), dtype=bool))
+            f.acts = tg.Tensor(g.normal(size=f.acts.shape))
+            forwards.append(f)
         coms = [np.tile([(3.0, 1.0), (2.0, 2.0), (1.0, 3.0), (0.0, 0.0), (4.0, 4.0)], (2, 1))
                 + g.uniform(-0.4, 0.4, size=(len(JOINT_NAMES), 2)) for _ in forwards]
         calls.clear()
-        poses.append((P.lift_and_fuse_2d(forwards, coms, holes), list(calls)))
+        poses.append((P.lift_and_fuse_2d(forwards, coms), list(calls)))
 
         checked = absent = 0
         for pose, ((values, points, known),) in ((p, c) for p, c in poses if c):
@@ -622,8 +629,8 @@ class TestHeatmapToMetricChain:
 def test_pixel_coordinates_layout():
     # the (x, y) pixel coordinates of a view's fused pixels, row-major
     valid = np.ones((2, 3), dtype=bool)
-    f = P.ViewForward(0, tg.Tensor(np.zeros((1, 6))), np.flatnonzero(valid), valid,
-                      np.zeros((6, 3)))
+    f = P.ViewForward(_scene_view(0, np.ones((2, 3))), tg.Tensor(np.zeros((1, 6))),
+                      np.flatnonzero(valid), valid)
     np.testing.assert_array_equal(
         f.pixels, [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
     )

@@ -83,6 +83,20 @@ class TestValidation:
         with pytest.raises(HeatmapError):
             DepthImage(view=0, raster=np.array([[-1.0]]))
 
+    def test_depth_image_stays_finite_and_non_negative(self):
+        # fusion back-projects a DepthImage's pixels without scanning the
+        # whole raster again: it is checked once, here, and then frozen
+        for bad, what in ((np.nan, "non-finite"), (np.inf, "non-finite"), (-0.5, "negative")):
+            raster = np.full((2, 3), 1.5)
+            raster[1, 2] = bad
+            with pytest.raises(HeatmapError, match=what):
+                DepthImage(view=0, raster=raster)
+        raster = np.full((2, 3), 1.5)
+        depth = DepthImage(view=0, raster=raster)
+        for target in (depth.raster, raster):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = np.nan
+
 
 class TestInputTensor:
     def _parts(self, rng, h=6, w=8):

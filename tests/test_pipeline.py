@@ -21,6 +21,7 @@ from posefusion.data import Scene, SceneView, SynthConfig, generate_synthetic
 from posefusion.fusion import (
     JOINT_NAMES,
     _multi_view_soft_centers,
+    masked_soft_centers,
     soft_center_stack,
     view_cloud_coords,
 )
@@ -42,6 +43,8 @@ from posefusion.pipeline import (
     train,
 )
 from posefusion.tensorgrad import Tape, Tensor, backward, finite_difference_check
+
+from conftest import random_rigid
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +97,7 @@ class TestForwardScene:
         centers = P.fused_centers(None, forwards).values
         for f in forwards:
             np.testing.assert_array_equal(f.rows, np.flatnonzero(f.valid))
-        coords = np.concatenate([f.cloud for f in forwards], axis=0)
+        coords = np.concatenate([_cloud(f) for f in forwards], axis=0)
         valid = np.concatenate([f.valid.ravel() for f in forwards])
         expected = coords[valid].mean(axis=0)
         for j in range(len(JOINT_NAMES)):
@@ -158,6 +161,19 @@ class TestForwardScene:
         assert err < 1e-4
 
 
+def _cloud(f):
+    """The (H*W, 3) shared-frame positions of every pixel of f's view."""
+    return view_cloud_coords(f.scene_view.depth, f.scene_view.camera)
+
+
+class _CloudForward(P.ViewForward):
+    """A ViewForward that reads its positions from the view's whole cloud,
+    as forwards did before they back-projected only the pixels read."""
+
+    def positions(self, rows=None):
+        return _cloud(self) if rows is None else np.take(_cloud(self), rows, axis=0)
+
+
 def _take(tape, t, cols):
     """Tape node selecting columns ``cols`` of a (J, m) tensor."""
     out = Tensor(t.values[:, cols], requires_grad=t.requires_grad)
@@ -187,8 +203,7 @@ def _whole_crop_forward(predictor, scene, person, records, tape):
         inv = invert_on_heatmap_tensor(tape, predictor.forward(tape, apply_to_input(inp, rec)), rec)
         every = inverse_warp(rec).rows
         keep = valid.ravel()[every]
-        out.append(P.ViewForward(sv.view, _take(tape, inv, np.flatnonzero(keep)),
-                                 every[keep], valid, view_cloud_coords(sv.depth, sv.camera)))
+        out.append(_CloudForward(sv, _take(tape, inv, np.flatnonzero(keep)), every[keep], valid))
     return out
 
 
@@ -306,11 +321,11 @@ def _float_inverse_warp(rec, keep):
     return InverseWarp(rows=rows, idx=idx, wts=np.ones((1, rows.size)), window=window)
 
 
-def _warp_route_forward(predictor, scene, person, records, tape, coords_cache=None):
+def _warp_route_forward(predictor, scene, person, records, tape):
     """forward_scene as every view ran it before un-augmented views skipped
     augmentation: the whole input built, its window augmented by
-    apply_to_input, and the activations inverted through the float warp.
-    Records without rotation only; ``coords_cache`` is ignored."""
+    apply_to_input, and the activations inverted through the float warp;
+    positions come from the whole cloud. Records without rotation only."""
     out = []
     for sv in scene.views:
         if person not in sv.boxes:
@@ -326,8 +341,8 @@ def _warp_route_forward(predictor, scene, person, records, tape, coords_cache=No
             window, margins = P._input_window(rec, warp.window)
             inp = apply_to_input(build_input_tensor(sv.colour, sv.depth, box), rec, window)
             heat = predictor.forward(tape, inp, margins)
-        out.append(P.ViewForward(sv.view, invert_on_heatmap_tensor(tape, heat, rec, warp),
-                                 warp.rows, valid, view_cloud_coords(sv.depth, sv.camera)))
+        out.append(_CloudForward(sv, invert_on_heatmap_tensor(tape, heat, rec, warp),
+                                 warp.rows, valid))
     return out
 
 
@@ -473,7 +488,7 @@ class TestSparseFusion:
         if mode == "proposed-3d":
             if dense:
                 return [soft_center_stack(tape, [_eps_raster(tape, f) for f in forwards],
-                                          [f.cloud for f in forwards])]
+                                          [_cloud(f) for f in forwards])]
             return [P.fused_centers(tape, forwards)]
         out = []
         for f in forwards:
@@ -530,6 +545,119 @@ class TestSparseFusion:
             partial |= any(fused) and not all(fused)
             empty |= bool(fused) and not any(fused)
         assert empty and partial
+
+
+def _via_whole_clouds(monkeypatch):
+    """Make pipeline's forwards read their positions from whole clouds."""
+    direct = P.forward_scene
+
+    def forward(*args, **kwargs):
+        return [_CloudForward(f.scene_view, f.acts, f.rows, f.valid)
+                for f in direct(*args, **kwargs)]
+
+    monkeypatch.setattr(P, "forward_scene", forward)
+
+
+class TestRowsOnlyBackprojection:
+    """Fusion back-projects only the pixels it reads. Against the whole
+    cloud of each view read at the same pixels, every position is
+    bitwise equal: the fused pixels' coords, the baseline lift's points,
+    and the whole-cloud mean of a person who fuses no pixel; and so are
+    evaluation reports and training curves."""
+
+    def test_coords_are_the_whole_cloud_rows(self, cases):
+        # the border scene has views of one fused pixel; copies of it move
+        # their cameras off the reference frame
+        predictor = ToyPredictor.initialise(3)
+        borders = _border_scene()
+        rng = np.random.default_rng(8)
+        moved = [("moved borders", dataclasses.replace(borders, views=[
+            dataclasses.replace(sv, camera=dataclasses.replace(
+                sv.camera, to_reference=random_rigid(rng))) for sv in borders.views]), 0, None)
+            for _ in range(8)]
+        sizes = set()
+        for kind, scene, person, records in cases + [("borders", borders, 0, None)] + moved:
+            for f in forward_scene(predictor, scene, person, records, None):
+                want = _cloud(f)[f.rows]
+                assert f.coords.tobytes() == want.tobytes(), (kind, scene.id, person, f.view)
+                sizes.add(min(f.rows.size, 2))
+        assert sizes == {0, 1, 2}
+
+    def test_coords_lift_once_and_only_when_read(self, tiny_scenes, monkeypatch):
+        calls = []
+
+        def spy(depth, camera, rows=None):
+            calls.append(None if rows is None else rows.size)
+            return view_cloud_coords(depth, camera, rows)
+
+        monkeypatch.setattr(P, "view_cloud_coords", spy)
+        forwards = forward_scene(ToyPredictor.initialise(0), tiny_scenes[0][0], 0, None, None)
+        assert forwards and calls == []
+        for _ in range(2):
+            P.fused_centers(None, forwards)
+        assert calls == [f.rows.size for f in forwards]
+
+    def test_lift_points_are_the_whole_cloud_rows(self, monkeypatch):
+        _, scenes = generate_synthetic(SynthConfig(train_scenes=0, test_scenes=6, seed=505,
+                                                   occlusion_drop=0.35))
+        calls = []
+
+        def spy(values, points, known):
+            calls.append((values, points, known))
+            return masked_soft_centers(values, points, known)
+
+        predictor = ToyPredictor.initialise(0)
+        runs = []
+        for whole in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(P, "masked_soft_centers", spy)
+                if whole:
+                    _via_whole_clouds(m)
+                calls.clear()
+                poses = [P._predict_pose3(p, scene, person, "baseline-2d", oracle_cfg=cfg)
+                         for scene in scenes for person in scene.persons()
+                         for p, cfg in ((predictor, None), (None, (1.0, 80.0)))]
+                runs.append((poses, [[a.tobytes() for a in c] for c in calls]))
+        (poses, lifted), (ref_poses, ref_lifted) = runs
+        assert len(lifted) > 20 and lifted == ref_lifted
+        for pose, ref in zip(poses, ref_poses):
+            assert (pose is None) == (ref is None)
+            if pose is not None:
+                assert all((pose[n] is None and ref[n] is None)
+                           or pose[n].tobytes() == ref[n].tobytes() for n in JOINT_NAMES)
+
+    def test_fallback_is_the_whole_cloud_mean(self, cases):
+        predictor = ToyPredictor.initialise(3)
+        checked = 0
+        for kind, scene, person, records in cases:
+            forwards = forward_scene(predictor, scene, person, records, None)
+            if not forwards or any(f.rows.size for f in forwards):
+                continue
+            cloud = np.concatenate([_cloud(f) for f in forwards])
+            want = np.full((len(JOINT_NAMES), len(cloud)), 1.0 / len(cloud)) @ cloud
+            assert P.fused_centers(None, forwards).values.tobytes() == want.tobytes(), kind
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("mode", TrainConfig.MODES)
+    def test_reports_and_curves_match_the_whole_cloud_path(self, tiny_scenes, monkeypatch, mode):
+        _, scenes = generate_synthetic(SynthConfig(train_scenes=0, test_scenes=6, seed=505,
+                                                   occlusion_drop=0.35))
+        cfg = TrainConfig(mode=mode, epochs=2, seed=3)
+        predictor = ToyPredictor.initialise(1)
+        runs = []
+        for whole in (False, True):
+            with monkeypatch.context() as m:
+                if whole:
+                    _via_whole_clouds(m)
+                runs.append((evaluate(scenes, mode, predictor).to_json(),
+                             evaluate(scenes, mode, oracle_cfg=(1.0, 80.0)).to_json(),
+                             train(cfg, tiny_scenes[0])))
+        (*reports, result), (*ref_reports, ref) = runs
+        assert reports == ref_reports
+        assert result.loss_curve == ref.loss_curve
+        for name, p in result.predictor.params.items():
+            assert p.values.tobytes() == ref.predictor.params[name].values.tobytes(), name
 
 
 def _scenes_sharing_an_id():

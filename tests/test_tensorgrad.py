@@ -29,6 +29,24 @@ class TestForwardSemantics:
         out = tg.relu(None, Tensor([-1.5, 0.0, 2.0]))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
+    def test_relu_raises_on_nan(self):
+        # a NaN input stays NaN, so relu raises as every op does, rather
+        # than passing on a 0
+        with pytest.raises(NonFiniteError, match="'relu'"):
+            tg.relu(None, Tensor([np.nan, -1.0, 2.0]))
+
+    def test_relu_gives_the_bits_of_the_gated_copy(self, rng):
+        # np.maximum and np.where on the gate x > 0 agree bitwise, zeros
+        # included; the vjp builds the gate when it runs
+        x = rng.normal(size=(4, 5, 6))
+        x[0, 0, :3] = 0.0
+        tape, xt = Tape(), Tensor(x, requires_grad=True)
+        out = tg.relu(tape, xt)
+        assert out.values.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        g = rng.normal(size=x.shape)
+        (gx,) = tape._nodes[0].vjp(g)
+        assert gx.tobytes() == (g * (x > 0)).tobytes()
+
     def test_conv2d_delta_input_reproduces_flipped_kernel(self, rng):
         # cross-correlation: a unit impulse paints the kernel rotated 180deg
         kernel = rng.normal(size=(1, 1, 3, 3))
@@ -144,6 +162,18 @@ class TestShiftedConvolution:
                     assert a.shape == b.shape, (name, where)
                     assert np.abs(a - b).max() <= self.BOUND * np.abs(b).max(), (name, where)
                 np.testing.assert_array_equal(got[3], want[3], err_msg=where)
+
+    def test_bias_on_the_buffer_gives_the_bits_of_the_cropped_sum(self, rng):
+        # the bias is added before the wrap-around columns are dropped
+        for pad in ((1, 1, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 0)):
+            x, weight, bias = (rng.normal(size=(16, 9, 11)), rng.normal(size=(10, 16, 3, 3)),
+                               rng.normal(size=10))
+            xp, wp = tg._pad_flat(x, pad)
+            taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, 10, 16)
+            ho, wo = 9 + pad[0] + pad[1] - 2, 11 + pad[2] + pad[3] - 2
+            want = tg._shifted_sum(taps, xp, wp, ho)[:, :, :wo] + bias[:, None, None]
+            y, _vjp = tg._conv_shifted(x, weight, bias, pad)
+            assert y.shape == want.shape and y.tobytes() == want.tobytes(), pad
 
     @pytest.mark.parametrize("c_in, kernel", [(5, "_conv_im2col"), (16, "_conv_shifted")])
     def test_conv2d_chooses_kernel_by_input_channels(self, rng, c_in, kernel):
