@@ -3,9 +3,13 @@
 Geometric transforms (flip, rotation, crop) are applied to each view's
 input tensor independently; the exact inverse map is applied to the
 predicted heatmaps before fusion, so the fused 3D estimate lives in the
-original camera geometry. The inverse is linear in heatmap values and
-registers its transpose as the tape adjoint, keeping the chain
-differentiable. Colour jitter touches the input only and needs no
+original camera geometry. Both directions share one geometry: one
+rotation about the image centre (the forward warp samples each output
+pixel at -deg, the inverse sends each original pixel to +deg) and one
+rule for bilinear taps. A flip mirrors the columns the forward warp
+reads, not its sampling positions. The inverse is linear in heatmap
+values and registers its transpose as the tape adjoint, keeping the
+chain differentiable. Colour jitter touches the input only and needs no
 inverse.
 
 The inverse gives values only at the pixels it is asked for that have
@@ -29,7 +33,6 @@ __all__ = [
     "sample_augmentation",
     "identity_record",
     "apply_to_input",
-    "apply_geometric",
     "InverseWarp",
     "inverse_warp",
     "invert_on_heatmap_tensor",
@@ -107,10 +110,9 @@ def identity_record(image_h: int, image_w: int) -> AugmentationRecord:
 
 
 def sample_augmentation(config: AugmentationConfig, rng) -> AugmentationRecord:
-    """Draw one view's augmentation. Deterministic given the rng state;
-    draw order is fixed (flip, crop offsets, rotation, jitter)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    """Draw one view's augmentation from the numpy Generator ``rng``.
+    Deterministic given its state; draw order is fixed (flip, crop
+    offsets, rotation, jitter)."""
     flip = bool(rng.random() < config.flip_prob)
     r0 = int(rng.integers(0, config.image_h - config.crop_h + 1))
     c0 = int(rng.integers(0, config.image_w - config.crop_w + 1))
@@ -124,7 +126,7 @@ def sample_augmentation(config: AugmentationConfig, rng) -> AugmentationRecord:
 
 
 # ---------------------------------------------------------------------------
-# forward transforms on the input
+# colour jitter of the input
 
 
 def _grey(colour: np.ndarray) -> np.ndarray:
@@ -151,100 +153,79 @@ def _apply_jitter(colour: np.ndarray, jitter, contrast_mean) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _rotation_sources(h: int, w: int, deg: float, ys: np.ndarray, xs: np.ndarray):
-    """Source sampling positions of output pixels (ys, xs), which
-    broadcast, when content rotates by ``deg`` about the centre of an
-    (h, w) image: each output pixel samples the input at minus ``deg``."""
+# ---------------------------------------------------------------------------
+# one geometry for the forward warp and the inverse map
+
+
+def _rotate(xs, ys, h: int, w: int, deg: float):
+    """Positions of pixels (xs, ys), which broadcast, when content rotates
+    by ``deg`` about the centre of an (h, w) image. The inverse map sends
+    each original pixel to +deg; the forward warp samples each output
+    pixel at -deg."""
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(deg)
     cos, sin = math.cos(rad), math.sin(rad)
     dx, dy = xs - cx, ys - cy
-    sx = cos * dx + sin * dy + cx
-    sy = -sin * dx + cos * dy + cy
-    return sx, sy
+    return cos * dx - sin * dy + cx, sin * dx + cos * dy + cy
 
 
-class _WindowWarp:
-    """Flip, rotation and crop of an (H, W) image, computing only
-    ``window`` (row, col, height, width) of the crop. The window's pixel
-    grid and rotation sources are built once, for every stack sampled."""
-
-    def __init__(self, rec: AugmentationRecord, window: tuple):
-        self.rec = rec
-        r0, c0, _, _ = rec.crop
-        wr, wc, self.wh, self.ww = window
-        self.top, self.left = r0 + wr, c0 + wc
-        if rec.rotation_deg != 0.0:
-            self.sx, self.sy = _rotation_sources(
-                rec.image_h, rec.image_w, rec.rotation_deg,
-                np.arange(self.top, self.top + self.wh)[:, None],
-                np.arange(self.left, self.left + self.ww))
-
-    def sample(self, channels: np.ndarray, bilinear: bool, fill: float,
-               pointwise=None) -> np.ndarray:
-        """Warp a (C, H, W) stack. Pixels rotated in from outside the image
-        take ``fill``. ``pointwise`` maps source pixels before they are
-        sampled; it runs only on the part of the image the window reads."""
-        if self.rec.rotation_deg == 0.0:
-            if self.rec.flip:
-                channels = channels[:, :, ::-1]
-            src = channels[:, self.top:self.top + self.wh, self.left:self.left + self.ww]
-            return pointwise(src) if pointwise is not None else src.copy()
-        v, inside = (self._bilinear if bilinear else self._nearest)(channels, pointwise)
-        return np.where(inside, v, fill)
-
-    def _bilinear(self, channels: np.ndarray, pointwise) -> tuple:
-        h, w = self.rec.image_h, self.rec.image_w
-        sx, sy = self.sx, self.sy
-        if self.rec.flip:
-            channels = channels[:, :, ::-1]
-        inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-        x0 = np.minimum(np.maximum(np.floor(sx), 0), w - 2).astype(np.intp)
-        y0 = np.minimum(np.maximum(np.floor(sy), 0), h - 2).astype(np.intp)
-        fx, fy = sx - x0, sy - y0
-        wx0, wy0 = 1 - fx, 1 - fy
-        if pointwise is not None:
-            y_lo, x_lo = y0.min(), x0.min()
-            channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
-            y0 -= y_lo
-            x0 -= x_lo
-        # gather by flat index: faster than one index array per axis
-        row = channels.shape[2]
-        flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
-        i = y0 * row
-        i += x0
-        v = np.take(flat, i, axis=1) * (wx0 * wy0)
-        i += 1
-        v += np.take(flat, i, axis=1) * (fx * wy0)
-        i += row - 1
-        v += np.take(flat, i, axis=1) * (wx0 * fy)
-        i += 1
-        v += np.take(flat, i, axis=1) * (fx * fy)
-        return v, inside
-
-    def _nearest(self, channels: np.ndarray, pointwise) -> tuple:
-        h, w = self.rec.image_h, self.rec.image_w
-        xn = np.rint(self.sx).astype(np.intp)
-        yn = np.rint(self.sy).astype(np.intp)
-        inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
-        i = np.minimum(np.maximum(yn, 0), h - 1) * w
-        xn = np.minimum(np.maximum(xn, 0), w - 1)
-        # a flipped image is read unflipped, at the mirrored column
-        i += (w - 1) - xn if self.rec.flip else xn
-        flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
-        v = np.take(flat, i, axis=1)
-        return (pointwise(v) if pointwise is not None else v), inside
+def _taps(xs, ys, h: int, w: int):
+    """The bilinear taps of positions (xs, ys) in an (h, w) raster: which
+    positions lie inside it, the top-left tap (x0, y0), clamped so that
+    the taps one column right and one row down stay inside, and the
+    fractions (fx, fy) of the position past it."""
+    inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+    x0 = np.minimum(np.maximum(np.floor(xs), 0), max(w - 2, 0)).astype(np.intp)
+    y0 = np.minimum(np.maximum(np.floor(ys), 0), max(h - 2, 0)).astype(np.intp)
+    return inside, x0, y0, xs - x0, ys - y0
 
 
-def apply_geometric(raster: np.ndarray, rec: AugmentationRecord,
-                    bilinear: bool = True, fill: float = 0.0) -> np.ndarray:
-    """Apply the record's flip, rotation and crop to one raster."""
-    if raster.shape != (rec.image_h, rec.image_w):
-        raise AugmentError(f"raster shape {raster.shape} does not match record "
-                           f"{(rec.image_h, rec.image_w)}")
-    _, _, ch, cw = rec.crop
-    return _WindowWarp(rec, (0, 0, ch, cw)).sample(
-        np.asarray(raster, dtype=np.float64)[None], bilinear, fill)[0]
+# ---------------------------------------------------------------------------
+# forward warp of the input
+
+
+def _bilinear(colour: np.ndarray, sx, sy, rec: AugmentationRecord, mean) -> np.ndarray:
+    """Bilinear samples of the (3, H, W) ``colour``, jittered and flipped
+    as ``rec`` says, at positions (sx, sy); 0 outside the image. Only the
+    rectangle the taps read is jittered, with contrast mean ``mean``."""
+    w = rec.image_w
+    inside, x0, y0, fx, fy = _taps(sx, sy, rec.image_h, w)
+    wx0, wy0 = 1 - fx, 1 - fy
+    # a flipped image is read unflipped: tap column x is column w-1-x,
+    # and the tap right of it is the column left of that
+    step = 1
+    if rec.flip:
+        x0 = (w - 1) - x0
+        step = -1
+    y_lo, x_lo = y0.min(), x0.min() - rec.flip
+    src = _apply_jitter(colour[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2 - rec.flip],
+                        rec.jitter, mean)
+    # gather by flat index: faster than one index array per axis
+    row = src.shape[2]
+    flat = src.reshape(3, -1)
+    i = (y0 - y_lo) * row
+    i += x0 - x_lo
+    v = np.take(flat, i, axis=1) * (wx0 * wy0)
+    i += step
+    v += np.take(flat, i, axis=1) * (fx * wy0)
+    i += row - step
+    v += np.take(flat, i, axis=1) * (wx0 * fy)
+    i += step
+    v += np.take(flat, i, axis=1) * (fx * fy)
+    return np.where(inside, v, 0.0)
+
+
+def _nearest(channels: np.ndarray, sx, sy, rec: AugmentationRecord) -> np.ndarray:
+    """Nearest-neighbour samples of the (C, H, W) ``channels``, flipped as
+    ``rec`` says, at positions (sx, sy); 0 outside the image."""
+    h, w = rec.image_h, rec.image_w
+    xn = np.rint(sx).astype(np.intp)
+    yn = np.rint(sy).astype(np.intp)
+    inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
+    i = np.minimum(np.maximum(yn, 0), h - 1) * w
+    xn = np.minimum(np.maximum(xn, 0), w - 1)
+    i += (w - 1) - xn if rec.flip else xn
+    return np.where(inside, np.take(channels.reshape(channels.shape[0], -1), i, axis=1), 0.0)
 
 
 def apply_to_input(inp: np.ndarray, rec: AugmentationRecord,
@@ -252,7 +233,8 @@ def apply_to_input(inp: np.ndarray, rec: AugmentationRecord,
     """Augment a (5, H, W) input: jitter the colour, then flip, rotate and
     crop every channel. Colour resamples bilinearly; depth and box mask use
     nearest neighbour so depth never interpolates across the unknown marker
-    and the mask stays binary.
+    and the mask stays binary. Pixels rotated in from outside the image
+    are 0.
 
     ``window`` = (row, col, height, width) within the crop computes only
     that part of the augmented crop; it equals the same slice of the whole
@@ -261,20 +243,25 @@ def apply_to_input(inp: np.ndarray, rec: AugmentationRecord,
     if inp.shape[1:] != (rec.image_h, rec.image_w):
         raise AugmentError(f"input size {inp.shape[1:]} does not match record "
                            f"{(rec.image_h, rec.image_w)}")
-    _, _, ch, cw = rec.crop
+    r0, c0, ch, cw = rec.crop
     if window is None:
         window = (0, 0, ch, cw)
     wr, wc, wh, ww = window
     if wr < 0 or wc < 0 or wh <= 0 or ww <= 0 or wr + wh > ch or wc + ww > cw:
         raise AugmentError(f"window {window} is not inside the {ch}x{cw} crop")
+    top, left = r0 + wr, c0 + wc
     colour = inp[:3]
     brightness, contrast, _ = rec.jitter
     mean = _grey(colour * brightness).mean() if contrast != 1.0 else None
-    warp = _WindowWarp(rec, window)
-    return np.concatenate([
-        warp.sample(colour, True, 0.0, lambda c: _apply_jitter(c, rec.jitter, mean)),
-        warp.sample(inp[3:], False, 0.0),
-    ])
+    if rec.rotation_deg == 0.0:
+        src = inp[:, :, ::-1] if rec.flip else inp
+        src = src[:, top:top + wh, left:left + ww]
+        return np.concatenate([_apply_jitter(src[:3], rec.jitter, mean), src[3:]])
+    # one set of sampling positions for the colour and the other channels
+    sx, sy = _rotate(np.arange(left, left + ww), np.arange(top, top + wh)[:, None],
+                     rec.image_h, rec.image_w, -rec.rotation_deg)
+    return np.concatenate([_bilinear(colour, sx, sy, rec, mean),
+                           _nearest(inp[3:], sx, sy, rec)])
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +309,18 @@ class InverseWarp:
         return acc.reshape(c, size)
 
 
-def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
-                 footprint: bool = False) -> InverseWarp:
+def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None) -> InverseWarp:
     """Build the map taking an augmented-crop heatmap back to the original
     frame: original pixel q samples the augmented raster at
     crop(rotate(flip(q))).
 
     The map produces the pixels of ``keep`` (an (H, W) bool mask; default
-    all) that have a pre-image in the crop. Its window is the whole crop,
-    or with ``footprint`` the bounding rectangle of the crop pixels the
-    produced pixels read, which is empty when no pixel is produced.
-    Without rotation every produced pixel reads one crop pixel."""
+    all) that have a pre-image in the crop. Its window is their
+    footprint: the bounding rectangle of the crop pixels they read, which
+    is empty when no pixel is produced. Without rotation every produced
+    pixel reads one crop pixel, and for all pixels the footprint is the
+    crop. Under rotation it is smaller wherever content rotated in from
+    outside the image fills a whole edge of the crop."""
     h, w = rec.image_h, rec.image_w
     r0, c0, ch, cw = rec.crop
     q = np.arange(h * w) if keep is None else np.flatnonzero(keep)
@@ -350,29 +338,20 @@ def inverse_warp(rec: AugmentationRecord, keep: np.ndarray | None = None,
         tap_y, tap_x = ys[None], xs[None]
         wts = np.ones((1, rows.size))
     else:
-        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-        rad = math.radians(rec.rotation_deg)
-        cos, sin = math.cos(rad), math.sin(rad)
-        dx, dy = xs - cx, ys - cy
         # content moved by +deg, so original content at q now sits at R(+deg) q
-        xs = cos * dx - sin * dy + cx - c0
-        ys = sin * dx + cos * dy + cy - r0
-        valid = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
-        rows, xs, ys = q[valid], xs[valid], ys[valid]
-        x0 = np.minimum(np.maximum(np.floor(xs), 0), max(cw - 2, 0)).astype(np.intp)
-        y0 = np.minimum(np.maximum(np.floor(ys), 0), max(ch - 2, 0)).astype(np.intp)
+        xs, ys = _rotate(xs, ys, h, w, rec.rotation_deg)
+        xs -= c0
+        ys -= r0
+        inside, x0, y0, fx, fy = _taps(xs, ys, ch, cw)
+        rows, x0, y0, fx, fy = q[inside], x0[inside], y0[inside], fx[inside], fy[inside]
         x1 = np.minimum(x0 + 1, cw - 1)
         y1 = np.minimum(y0 + 1, ch - 1)
-        fx, fy = xs - x0, ys - y0
         wx0, wy0 = 1 - fx, 1 - fy
         tap_y = np.array([y0, y0, y1, y1])
         tap_x = np.array([x0, x1, x0, x1])
         wts = np.array([wx0 * wy0, fx * wy0, wx0 * fy, fx * fy])
-    if not footprint:
-        window = (0, 0, ch, cw)
-    elif not rows.size:
-        window = (0, 0, 0, 0)
-    else:
+    window = (0, 0, 0, 0)
+    if rows.size:
         top, left = int(tap_y[0].min()), int(tap_x[0].min())
         window = (top, left, int(tap_y[-1].max()) + 1 - top, int(tap_x[-1].max()) + 1 - left)
     idx = tap_y - window[0]
@@ -386,8 +365,9 @@ def invert_on_heatmap_tensor(tape: Tape | None, t: Tensor, rec: AugmentationReco
                              warp: InverseWarp | None = None) -> Tensor:
     """Tape-recorded inverse augmentation of a (J, h, w) tensor that holds
     ``warp``'s window of the augmented crop; the default warp produces
-    every pixel with a pre-image and reads the whole crop. Returns the
-    (J, n) values of the original-frame pixels ``warp.rows``.
+    every pixel with a pre-image and reads its footprint, the whole crop
+    unless rotation fills an edge of it from outside the image. Returns
+    the (J, n) values of the original-frame pixels ``warp.rows``.
 
     The map is linear in the heatmap values, so its registered adjoint is
     the exact transpose."""

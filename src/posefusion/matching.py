@@ -214,11 +214,24 @@ def evaluate_matching(combinations: list, annotated: dict, boxes: dict,
     return results
 
 
+def _int_field(doc, key: str, context: str) -> int:
+    """Field ``key`` of a detections entry: a JSON integer, not a float,
+    a string or a bool."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise MatchingError(f"{context}: no integer '{key}'")
+    value = doc[key]
+    if type(value) is not int:
+        raise MatchingError(f"{context}: '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def load_detections(path) -> dict:
     """Read a detections file: ``{"views": [{"view": v, "boxes": [...]}]}``
-    with each box carrying x_min/y_min/x_max/y_max and an optional
-    confidence score (accepted, ignored). The same schema as annotation
-    boxes, so detector output and ground truth interchange."""
+    with each box carrying x_min/y_min/x_max/y_max, an optional person
+    id (default: its place in the list) and an optional confidence score
+    (accepted, ignored). The same schema as annotation boxes, so detector
+    output and ground truth interchange. Every id and coordinate is a
+    JSON integer, and each view appears once."""
     try:
         with open(path, "r", encoding="ascii") as f:
             doc = json.load(f)
@@ -228,21 +241,20 @@ def load_detections(path) -> dict:
         raise MatchingError(f"{path}: missing 'views' list")
     out = {}
     for k, vdoc in enumerate(doc["views"]):
-        try:
-            v = int(vdoc["view"])
-        except (TypeError, KeyError, ValueError):
-            raise MatchingError(f"{path}: views[{k}]: no integer 'view'") from None
+        v = _int_field(vdoc, "view", f"{path}: views[{k}]")
+        if v in out:
+            raise MatchingError(f"{path}: views[{k}]: 'view' {v} appears twice")
         boxes = vdoc.get("boxes", [])
         if not isinstance(boxes, list):
             raise MatchingError(f"{path}: views[{v}].boxes: not a list")
         out[v] = []
         for i, bdoc in enumerate(boxes):
+            ctx = f"{path}: views[{v}].boxes[{i}]"
+            corners = {key: _int_field(bdoc, key, ctx)
+                       for key in ("x_min", "y_min", "x_max", "y_max")}
+            person = _int_field(bdoc, "person", ctx) if "person" in bdoc else i
             try:
-                out[v].append(BoundingBox(
-                    view=v, person=bdoc.get("person", i),
-                    x_min=int(bdoc["x_min"]), y_min=int(bdoc["y_min"]),
-                    x_max=int(bdoc["x_max"]), y_max=int(bdoc["y_max"]),
-                ))
-            except (AttributeError, KeyError, TypeError, ValueError, HeatmapError) as e:
-                raise MatchingError(f"{path}: views[{v}].boxes[{i}]: {e}") from None
+                out[v].append(BoundingBox(view=v, person=person, **corners))
+            except HeatmapError as e:
+                raise MatchingError(f"{ctx}: {e}") from None
     return out

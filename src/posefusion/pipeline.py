@@ -246,7 +246,7 @@ def forward_scene(predictor: ToyPredictor, scene: Scene, person: int,
             rec = records.get(sv.view) if records else None
             if rec is None:
                 rec = identity_record(sv.height, sv.width)
-            warp = inverse_warp(rec, valid, footprint=True)
+            warp = inverse_warp(rec, valid)
             if warp.rows.size:
                 window, margins = _input_window(rec, warp.window)
                 if rec.is_identity:

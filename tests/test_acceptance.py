@@ -17,7 +17,7 @@ import pytest
 
 from posefusion import gradcheck as GC
 from posefusion import pipeline as P
-from posefusion.augment import AugmentationRecord, apply_geometric
+from posefusion.augment import AugmentationRecord
 from posefusion.cli import main as cli_main
 from posefusion.data import SynthConfig, generate_synthetic
 from posefusion.fusion import soft_center
@@ -25,7 +25,7 @@ from posefusion.geometry import Camera, backproject_pixel, project_point
 from posefusion.heatmap import DEFAULT_EPSILON, BoundingBox, DepthImage, valid_pixel_mask
 from posefusion.matching import MatchConfig, match_centers
 
-from test_augment import _inverted
+from test_augment import _inverted, _warped
 from test_matching import brute_force_match, _as_points, _result_sets
 
 
@@ -170,7 +170,7 @@ class TestCriterion5AugmentationInversion:
                                       crop=(0, 0, h, w), rotation_deg=0.0,
                                       jitter=(1.0, 1.0, 1.0))
         raster = rng.normal(size=(h, w))
-        flipped = apply_geometric(raster, flip_rec)
+        flipped = _warped(raster, flip_rec, 3)
         rows, back = _inverted(flipped, flip_rec)
         assert np.array_equal(rows, np.arange(h * w)), "flip inverse drops pixels"
         assert np.array_equal(back, raster.ravel()), "flip involution not exact"
@@ -178,7 +178,7 @@ class TestCriterion5AugmentationInversion:
         crop_rec = AugmentationRecord(image_h=h, image_w=w, flip=False,
                                       crop=(3, 4, 18, 22), rotation_deg=0.0,
                                       jitter=(1.0, 1.0, 1.0))
-        cropped = apply_geometric(raster, crop_rec)
+        cropped = _warped(raster, crop_rec, 3)
         rows, back = _inverted(cropped, crop_rec)
         retained = np.zeros((h, w), dtype=bool)
         retained[3:21, 4:26] = True
@@ -194,7 +194,7 @@ class TestCriterion5AugmentationInversion:
             rec = AugmentationRecord(image_h=h, image_w=w, flip=False,
                                      crop=(0, 0, h, w), rotation_deg=deg,
                                      jitter=(1.0, 1.0, 1.0))
-            rotated = apply_geometric(gauss, rec)
+            rotated = _warped(gauss, rec, 0)
             rows, back = _inverted(rotated, rec)
             row, col = np.divmod(rows, w)
             interior = (row >= 2) & (row < h - 2) & (col >= 2) & (col < w - 2)

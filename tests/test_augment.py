@@ -1,6 +1,8 @@
 """Invertible augmentation: sampling, forward transforms, and the exact
 linear inverse applied to heatmaps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from posefusion.augment import (
     AugmentError,
     AugmentationConfig,
     AugmentationRecord,
-    apply_geometric,
+    InverseWarp,
     apply_to_input,
     identity_record,
     inverse_warp,
@@ -19,6 +21,9 @@ from posefusion.augment import (
 )
 from posefusion.gradcheck import augment_adjoint_error
 from posefusion.heatmap import DEFAULT_EPSILON
+
+from conftest import float_inverse_warp
+
 H, W = 16, 20
 
 
@@ -42,11 +47,22 @@ def _input(rng, h=H, w=W):
     return channels
 
 
+def _warped(raster, rec, channel):
+    """One raster through apply_to_input as ``channel`` of an input that
+    is zero elsewhere. The depth channel (3) is a plain slice without
+    rotation, exact on any values; the colour channel (0) resamples
+    bilinearly, and under the identity jitter leaves values in [0, 1] as
+    they are."""
+    inp = np.zeros((5,) + raster.shape)
+    inp[channel] = raster
+    return apply_to_input(inp, rec)[channel]
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         cfg = _config()
-        a = sample_augmentation(cfg, 42)
-        b = sample_augmentation(cfg, 42)
+        a = sample_augmentation(cfg, np.random.default_rng(42))
+        b = sample_augmentation(cfg, np.random.default_rng(42))
         assert a == b
 
     def test_zero_flip_probability(self, rng):
@@ -160,8 +176,8 @@ class TestApplyToInput:
         for rec in records:
             mean = augment._grey(colour * rec.jitter[0]).mean()
             jittered = augment._apply_jitter(colour, rec.jitter, mean)
-            want = np.stack([apply_geometric(c, rec, bilinear=True) for c in jittered]
-                            + [apply_geometric(c, rec, bilinear=False) for c in inp[3:]])
+            want = np.stack([_frozen_geometric(c, rec, bilinear=True) for c in jittered]
+                            + [_frozen_geometric(c, rec, bilinear=False) for c in inp[3:]])
             _, _, ch, cw = rec.crop
             windows = [(0, 0, ch, cw)]
             for _ in range(3):
@@ -187,7 +203,7 @@ class TestInvertOnHeatmap:
         rec = AugmentationRecord(image_h=H, image_w=W, flip=True,
                                  crop=(0, 0, H, W), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
-        flipped = apply_geometric(raster, rec)
+        flipped = _warped(raster, rec, 3)
         rows, back = _inverted(flipped, rec)
         np.testing.assert_array_equal(rows, np.arange(H * W))
         np.testing.assert_array_equal(back, raster.ravel())
@@ -197,7 +213,7 @@ class TestInvertOnHeatmap:
         rec = AugmentationRecord(image_h=H, image_w=W, flip=False,
                                  crop=(2, 3, 12, 16), rotation_deg=0.0,
                                  jitter=(1.0, 1.0, 1.0))
-        cropped = apply_geometric(raster, rec)
+        cropped = _warped(raster, rec, 3)
         rows, back = _inverted(cropped, rec)
         retained = np.zeros((H, W), dtype=bool)
         retained[2:14, 3:19] = True
@@ -211,7 +227,7 @@ class TestInvertOnHeatmap:
             rec = AugmentationRecord(image_h=H, image_w=W, flip=False,
                                      crop=(0, 0, H, W), rotation_deg=deg,
                                      jitter=(1.0, 1.0, 1.0))
-            rotated = apply_geometric(raster, rec)
+            rotated = _warped(raster, rec, 0)
             rows, back = _inverted(rotated, rec)
             # exclude pixels whose forward image touched the frame edge
             row, col = np.divmod(rows, W)
@@ -252,7 +268,7 @@ class TestInvertOnHeatmap:
 
         keep = np.zeros((H, W), dtype=bool)
         keep[3:9, 2:15] = True
-        warp = inverse_warp(rec, keep, footprint=True)
+        warp = inverse_warp(rec, keep)
         assert np.all(keep.ravel()[warp.rows]) and 0 < warp.rows.size < keep.sum()
         np.testing.assert_array_equal(warp.rows, rows[keep.ravel()[rows]])
         top, left, wh, ww = warp.window
@@ -271,7 +287,7 @@ class TestInvertOnHeatmap:
                                  jitter=(1.0, 1.0, 1.0))
         keep = np.zeros((H, W), dtype=bool)
         keep[3:9, 2:15] = True
-        warp = inverse_warp(rec, keep, footprint=True)
+        warp = inverse_warp(rec, keep)
         j, (_, _, wh, ww) = 5, warp.window
         out = invert_on_heatmap_tensor(None, tg.Tensor(rng.normal(size=(j, wh, ww))),
                                        rec, warp).values
@@ -312,7 +328,9 @@ class TestPipelineEquivariance:
                     oracle[v] = base
                 else:
                     rec = records[v]
-                    augmented = np.stack([apply_geometric(base[j], rec)
+                    # the colour channel carries heatmaps at a quarter
+                    # scale, inside [0, 1]; a power of two scales exactly
+                    augmented = np.stack([_warped(base[j] / 4, rec, 0) * 4
                                           for j in range(len(JOINT_NAMES))])
                     # pixels with no pre-image carry ε, so fusion gives
                     # them no weight
@@ -344,3 +362,186 @@ class TestPipelineEquivariance:
         print(f"\nrotation equivariance deviation: {delta_rot * 100:.3f} cm "
               f"(bilinear resampling, reported only)")
         assert np.isfinite(delta_rot)
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the warps from when the forward warp and the inverse map
+# each had their own rotation and their own bilinear taps. The shared
+# geometry must keep their bits.
+
+
+def _frozen_rotation_sources(h, w, deg, ys, xs):
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = math.radians(deg)
+    cos, sin = math.cos(rad), math.sin(rad)
+    dx, dy = xs - cx, ys - cy
+    return cos * dx + sin * dy + cx, -sin * dx + cos * dy + cy
+
+
+class _FrozenWindowWarp:
+    """Flip, rotation and crop of an (H, W) image, computing only
+    ``window`` of the crop; the image is flipped before it is sampled."""
+
+    def __init__(self, rec, window):
+        self.rec = rec
+        r0, c0, _, _ = rec.crop
+        wr, wc, self.wh, self.ww = window
+        self.top, self.left = r0 + wr, c0 + wc
+        if rec.rotation_deg != 0.0:
+            self.sx, self.sy = _frozen_rotation_sources(
+                rec.image_h, rec.image_w, rec.rotation_deg,
+                np.arange(self.top, self.top + self.wh)[:, None],
+                np.arange(self.left, self.left + self.ww))
+
+    def sample(self, channels, bilinear, pointwise=None):
+        if self.rec.rotation_deg == 0.0:
+            if self.rec.flip:
+                channels = channels[:, :, ::-1]
+            src = channels[:, self.top:self.top + self.wh, self.left:self.left + self.ww]
+            return pointwise(src) if pointwise is not None else src.copy()
+        v, inside = self._bilinear(channels, pointwise) if bilinear else self._nearest(channels)
+        return np.where(inside, v, 0.0)
+
+    def _bilinear(self, channels, pointwise):
+        h, w = self.rec.image_h, self.rec.image_w
+        sx, sy = self.sx, self.sy
+        if self.rec.flip:
+            channels = channels[:, :, ::-1]
+        inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
+        x0 = np.minimum(np.maximum(np.floor(sx), 0), w - 2).astype(np.intp)
+        y0 = np.minimum(np.maximum(np.floor(sy), 0), h - 2).astype(np.intp)
+        fx, fy = sx - x0, sy - y0
+        wx0, wy0 = 1 - fx, 1 - fy
+        if pointwise is not None:
+            y_lo, x_lo = y0.min(), x0.min()
+            channels = pointwise(channels[:, y_lo:y0.max() + 2, x_lo:x0.max() + 2])
+            y0 -= y_lo
+            x0 -= x_lo
+        row = channels.shape[2]
+        flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
+        i = y0 * row
+        i += x0
+        v = np.take(flat, i, axis=1) * (wx0 * wy0)
+        i += 1
+        v += np.take(flat, i, axis=1) * (fx * wy0)
+        i += row - 1
+        v += np.take(flat, i, axis=1) * (wx0 * fy)
+        i += 1
+        v += np.take(flat, i, axis=1) * (fx * fy)
+        return v, inside
+
+    def _nearest(self, channels):
+        h, w = self.rec.image_h, self.rec.image_w
+        xn = np.rint(self.sx).astype(np.intp)
+        yn = np.rint(self.sy).astype(np.intp)
+        inside = (xn >= 0) & (xn <= w - 1) & (yn >= 0) & (yn <= h - 1)
+        i = np.minimum(np.maximum(yn, 0), h - 1) * w
+        xn = np.minimum(np.maximum(xn, 0), w - 1)
+        i += (w - 1) - xn if self.rec.flip else xn
+        flat = np.ascontiguousarray(channels).reshape(channels.shape[0], -1)
+        return np.take(flat, i, axis=1), inside
+
+
+def _frozen_geometric(raster, rec, bilinear):
+    """Flip, rotation and crop of one raster."""
+    _, _, ch, cw = rec.crop
+    return _FrozenWindowWarp(rec, (0, 0, ch, cw)).sample(raster[None], bilinear)[0]
+
+
+def _frozen_apply_to_input(inp, rec, window):
+    colour = inp[:3]
+    brightness, contrast, _ = rec.jitter
+    mean = augment._grey(colour * brightness).mean() if contrast != 1.0 else None
+    warp = _FrozenWindowWarp(rec, window)
+    return np.concatenate([
+        warp.sample(colour, True, lambda c: augment._apply_jitter(c, rec.jitter, mean)),
+        warp.sample(inp[3:], False),
+    ])
+
+
+def _frozen_rotated_inverse_warp(rec, keep):
+    """The footprint inverse warp of a record with rotation."""
+    h, w = rec.image_h, rec.image_w
+    r0, c0, ch, cw = rec.crop
+    q = np.flatnonzero(keep)
+    ys, xs = np.divmod(q, w)
+    if rec.flip:
+        xs = (w - 1) - xs
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = math.radians(rec.rotation_deg)
+    cos, sin = math.cos(rad), math.sin(rad)
+    dx, dy = xs - cx, ys - cy
+    xs = cos * dx - sin * dy + cx - c0
+    ys = sin * dx + cos * dy + cy - r0
+    valid = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
+    rows, xs, ys = q[valid], xs[valid], ys[valid]
+    x0 = np.minimum(np.maximum(np.floor(xs), 0), max(cw - 2, 0)).astype(np.intp)
+    y0 = np.minimum(np.maximum(np.floor(ys), 0), max(ch - 2, 0)).astype(np.intp)
+    x1 = np.minimum(x0 + 1, cw - 1)
+    y1 = np.minimum(y0 + 1, ch - 1)
+    fx, fy = xs - x0, ys - y0
+    wx0, wy0 = 1 - fx, 1 - fy
+    tap_y = np.array([y0, y0, y1, y1])
+    tap_x = np.array([x0, x1, x0, x1])
+    window = (0, 0, 0, 0)
+    if rows.size:
+        top, left = int(tap_y[0].min()), int(tap_x[0].min())
+        window = (top, left, int(tap_y[-1].max()) + 1 - top, int(tap_x[-1].max()) + 1 - left)
+    idx = (tap_y - window[0]) * window[3] + tap_x - window[1]
+    return InverseWarp(rows=rows, idx=idx, wts=np.array([wx0 * wy0, fx * wy0, wx0 * fy, fx * fy]),
+                       window=window)
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+class TestOneGeometry:
+    """The forward warp and the inverse map share one rotation and one
+    rule for bilinear taps. apply_to_input must give the frozen forward
+    warp's bits, and inverse_warp those of the frozen inverse maps, over
+    random records: flips, rotations up to 45°, crops one row or one
+    column thin, windows of the crop and random masks of kept pixels."""
+
+    @staticmethod
+    def _records(g, n):
+        for k in range(n):
+            h, w = int(g.integers(2, 24)), int(g.integers(2, 24))
+            ch = 1 if k % 4 == 0 else int(g.integers(1, h + 1))
+            cw = 1 if k % 4 == 1 else int(g.integers(1, w + 1))
+            crop = (int(g.integers(0, h - ch + 1)), int(g.integers(0, w - cw + 1)), ch, cw)
+            yield AugmentationRecord(
+                image_h=h, image_w=w, flip=bool(g.random() < 0.5), crop=crop,
+                rotation_deg=0.0 if k % 5 == 0 else float(g.uniform(-45.0, 45.0)),
+                jitter=tuple(float(f) for f in g.uniform(0.5, 1.5, size=3)))
+
+    def test_apply_to_input_matches_frozen_warp(self):
+        g = np.random.default_rng(29)
+        for rec in self._records(g, 400):
+            inp = _input(g, rec.image_h, rec.image_w)
+            _, _, ch, cw = rec.crop
+            windows = [(0, 0, ch, cw)]
+            for _ in range(2):
+                wr, wc = int(g.integers(0, ch)), int(g.integers(0, cw))
+                windows.append((wr, wc, int(g.integers(1, ch - wr + 1)),
+                                int(g.integers(1, cw - wc + 1))))
+            for window in windows:
+                got = apply_to_input(inp, rec, window)
+                want = _frozen_apply_to_input(inp, rec, window)
+                assert got.shape == want.shape, (rec, window)
+                assert np.array_equal(_bits(got), _bits(want)), (rec, window)
+
+    def test_inverse_warp_matches_frozen_maps(self):
+        g = np.random.default_rng(30)
+        for rec in self._records(g, 400):
+            h, w = rec.image_h, rec.image_w
+            frozen = float_inverse_warp if rec.rotation_deg == 0.0 else _frozen_rotated_inverse_warp
+            every = np.ones((h, w), dtype=bool)
+            for keep in (None, g.random((h, w)) < g.random(), np.zeros((h, w), dtype=bool)):
+                got = inverse_warp(rec, keep)
+                want = frozen(rec, every if keep is None else keep)
+                assert got.window == want.window, rec
+                for field in ("rows", "idx", "wts"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape, (rec, field)
+                    assert np.array_equal(_bits(a), _bits(b)), (rec, field)

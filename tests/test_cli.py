@@ -250,6 +250,30 @@ class TestMalformedInputs:
         err = self._error_line(capsys)
         assert str(det) in err and "JSON" in err
 
+    _BOX = {"x_min": 2, "y_min": 2, "x_max": 10, "y_max": 12}
+
+    @pytest.mark.parametrize("field, views", [
+        ("'view'", [{"view": 0, "boxes": []}, {"view": 0, "boxes": [_BOX]}]),
+        ("'view'", [{"view": 0.9, "boxes": []}]),
+        ("'x_min'", [{"view": 0, "boxes": [dict(_BOX, x_min=1.7)]}]),
+        ("'y_min'", [{"view": 0, "boxes": [dict(_BOX, y_min="2")]}]),
+        ("'x_max'", [{"view": 0, "boxes": [dict(_BOX, x_max=True)]}]),
+        ("'person'", [{"view": 0, "boxes": [dict(_BOX, person="0")]}]),
+        ("'person'", [{"view": 0, "boxes": [dict(_BOX, person=0.0)]}]),
+    ], ids=["view_twice", "view_float", "x_min_float", "y_min_string", "x_max_bool",
+            "person_string", "person_float"])
+    def test_detections_entry_of_wrong_type(self, dataset, tmp_path, capsys, field, views):
+        # each of these once passed: a second entry for a view replaced the
+        # first, and int() converted the rest (0.9 -> 0, "2" -> 2, true -> 1)
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps({"views": views}))
+        rc = main(["match", "--scene", str(dataset / "scenes" / "scene_0000"),
+                   "--detections", str(det), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(det) in err and field in err
+        assert not (tmp_path / "o.json").exists()
+
     def test_split_fold_not_a_list(self, dataset, tmp_path, capsys):
         root = tmp_path / "ds"
         shutil.copytree(dataset / "scenes", root / "scenes")

@@ -10,7 +10,6 @@ from posefusion import pipeline as P
 from posefusion.augment import (
     AugmentationConfig,
     AugmentationRecord,
-    InverseWarp,
     apply_to_input,
     identity_record,
     inverse_warp,
@@ -44,7 +43,7 @@ from posefusion.pipeline import (
 )
 from posefusion.tensorgrad import Tape, Tensor, backward, finite_difference_check
 
-from conftest import random_rigid
+from conftest import float_inverse_warp, random_rigid
 
 
 @pytest.fixture(scope="module")
@@ -299,28 +298,6 @@ class TestWindowedForward:
                 assert diff <= 1e-12 * largest, (where, name, diff)
 
 
-def _float_inverse_warp(rec, keep):
-    """The footprint inverse warp of a record without rotation, in the
-    float arithmetic it had before it became an integer index map."""
-    h, w = rec.image_h, rec.image_w
-    r0, c0, ch, cw = rec.crop
-    q = np.flatnonzero(keep)
-    ys, xs = np.divmod(q, w)
-    if rec.flip:
-        xs = (w - 1) - xs
-    xs = xs.astype(np.float64) - c0
-    ys = ys.astype(np.float64) - r0
-    inside = (xs >= 0) & (xs <= cw - 1) & (ys >= 0) & (ys <= ch - 1)
-    rows = q[inside]
-    tap_y, tap_x = ys[inside].astype(np.intp)[None], xs[inside].astype(np.intp)[None]
-    window = (0, 0, 0, 0)
-    if rows.size:
-        top, left = int(tap_y.min()), int(tap_x.min())
-        window = (top, left, int(tap_y.max()) + 1 - top, int(tap_x.max()) + 1 - left)
-    idx = (tap_y - window[0]) * window[3] + tap_x - window[1]
-    return InverseWarp(rows=rows, idx=idx, wts=np.ones((1, rows.size)), window=window)
-
-
 def _warp_route_forward(predictor, scene, person, records, tape):
     """forward_scene as every view ran it before un-augmented views skipped
     augmentation: the whole input built, its window augmented by
@@ -335,7 +312,7 @@ def _warp_route_forward(predictor, scene, person, records, tape):
         rec = records.get(sv.view) if records else None
         if rec is None:
             rec = identity_record(sv.height, sv.width)
-        warp = _float_inverse_warp(rec, valid)
+        warp = float_inverse_warp(rec, valid)
         heat = Tensor(np.zeros((len(JOINT_NAMES), 0, 0)))
         if warp.rows.size:
             window, margins = P._input_window(rec, warp.window)
@@ -396,7 +373,7 @@ class TestUnaugmentedPath:
         for sv in scene.views:
             valid = valid_pixel_mask(sv.boxes[0], sv.depth)
             sizes.append(int(valid.sum()))
-            warp = inverse_warp(identity_record(12, 16), valid, footprint=True)
+            warp = inverse_warp(identity_record(12, 16), valid)
             if warp.rows.size:
                 _, margins = P._input_window(identity_record(12, 16), warp.window)
                 cut |= {side for side, m in enumerate(margins) if m < P.HALO}
@@ -412,12 +389,12 @@ class TestUnaugmentedPath:
             flipped = dataclasses.replace(ident, flip=True)
             cropped = dataclasses.replace(ident, crop=(1, 2, 10, 11))
             for rec in (ident, flipped, cropped):
-                got, want = inverse_warp(rec, valid, footprint=True), _float_inverse_warp(rec, valid)
+                got, want = inverse_warp(rec, valid), float_inverse_warp(rec, valid)
                 assert got.window == want.window, (sv.view, rec)
                 for field in ("rows", "idx", "wts"):
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (sv.view, rec, field)
-            warp = inverse_warp(ident, valid, footprint=True)
+            warp = inverse_warp(ident, valid)
             if not warp.rows.size:
                 continue
             window, _ = P._input_window(ident, warp.window)
