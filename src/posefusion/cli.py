@@ -172,12 +172,10 @@ def _cmd_match(args) -> int:
     depths = {sv.view: sv.depth for sv in scene.views}
     cameras = {sv.view: sv.camera for sv in scene.views}
     if args.detections:
-        boxes = M.load_detections(args.detections)
+        boxes = M.load_detections(args.detections,
+                                  {sv.view: (sv.height, sv.width) for sv in scene.views})
     else:
         boxes = {sv.view: [sv.boxes[p] for p in sorted(sv.boxes)] for sv in scene.views}
-    missing = [v for v in boxes if v not in depths]
-    if missing:
-        raise M.MatchingError(f"detections reference unknown views {missing}")
     combos = M.match_boxes(boxes, depths, cameras, M.MatchConfig(t=args.threshold))
     doc = {
         "threshold_m": args.threshold,

@@ -89,6 +89,12 @@ class GenerationError(RuntimeError):
 
 @dataclass
 class SceneView:
+    """One camera's view of a scene. ``colour`` is (3, H, W) float64 in
+    [0, 1]. A grey view (three equal channels: every generated view, and
+    every PPM ``synth-gen`` writes) holds one shading plane, broadcast
+    read-only to three channels (``strides[0] == 0``); copy it, e.g. with
+    ``np.array(sv.colour)``, before writing into it."""
+
     view: int
     camera: Camera
     colour: np.ndarray                 # (3, H, W) in [0, 1]
@@ -165,6 +171,9 @@ def _read_ppm(path) -> np.ndarray:
             i = j
     if tokens[0] != b"P6":
         raise SceneFormatError(f"{path}: not a binary P6 PPM (magic {tokens[0]!r})")
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise SceneFormatError(f"{path}: PPM width, height and maxval must be decimal "
+                               f"integers, got {b' '.join(tokens[1:4])!r}")
     w, h, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise SceneFormatError(f"{path}: maxval must be 255, got {maxval}")
@@ -173,6 +182,9 @@ def _read_ppm(path) -> np.ndarray:
     if len(raw) != w * h * 3:
         raise SceneFormatError(f"{path}: expected {w * h * 3} pixel bytes, got {len(raw)}")
     img = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    grey = img[:, :, 0]
+    if (grey == img[:, :, 1]).all() and (grey == img[:, :, 2]).all():
+        return np.broadcast_to(grey / 255.0, (3, h, w))
     return img.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -786,9 +798,10 @@ def _render_depth(col_dirs: np.ndarray, row_dirs: np.ndarray, eye: np.ndarray,
 
 
 def _depth_to_colour(depth: np.ndarray) -> np.ndarray:
-    """Flat depth-derived shading: nearer surfaces brighter, sky black."""
+    """Flat depth-derived shading: nearer surfaces brighter, sky black;
+    one plane, broadcast read-only to three grey channels."""
     shade = np.where(depth > 0.0, np.clip(1.0 - depth / 6.0, 0.05, 1.0), 0.0)
-    return np.repeat(shade[None, :, :], 3, axis=0)
+    return np.broadcast_to(shade, (3, *shade.shape))
 
 
 def _generate_scene(scene_id: str, cfg: SynthConfig, rng, rig: tuple) -> Scene:

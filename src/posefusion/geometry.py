@@ -63,6 +63,12 @@ class RigidTransform:
         if not (m[3] == _BOTTOM).all():
             raise GeometryError(f"rigid transform bottom row must be (0,0,0,1), got {m[3]}")
         r = m[:3, :3]
+        # an orthonormal block has no entry beyond 1; rejecting larger ones
+        # first keeps r.T @ r from overflowing on entries near 1e308
+        largest = np.abs(r).max()
+        if largest > 1.0 + _ROTATION_TOL:
+            raise GeometryError(f"rotation block is not orthonormal: max |R_ij| = "
+                                f"{largest:.3e} exceeds 1")
         ortho_err = np.abs(r.T @ r - _EYE3).max()
         if ortho_err >= _ROTATION_TOL:
             raise GeometryError(

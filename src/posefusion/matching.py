@@ -225,13 +225,14 @@ def _int_field(doc, key: str, context: str) -> int:
     return value
 
 
-def load_detections(path) -> dict:
+def load_detections(path, sizes: dict) -> dict:
     """Read a detections file: ``{"views": [{"view": v, "boxes": [...]}]}``
     with each box carrying x_min/y_min/x_max/y_max, an optional person
     id (default: its place in the list) and an optional confidence score
     (accepted, ignored). The same schema as annotation boxes, so detector
     output and ground truth interchange. Every id and coordinate is a
-    JSON integer, and each view appears once."""
+    JSON integer, each view appears once, and each box lies inside its
+    view's image; ``sizes`` maps each view of the scene to (H, W)."""
     try:
         with open(path, "r", encoding="ascii") as f:
             doc = json.load(f)
@@ -244,17 +245,21 @@ def load_detections(path) -> dict:
         v = _int_field(vdoc, "view", f"{path}: views[{k}]")
         if v in out:
             raise MatchingError(f"{path}: views[{k}]: 'view' {v} appears twice")
+        if v not in sizes:
+            raise MatchingError(f"{path}: views[{k}]: 'view' {v} is not a view of the scene")
         boxes = vdoc.get("boxes", [])
         if not isinstance(boxes, list):
-            raise MatchingError(f"{path}: views[{v}].boxes: not a list")
+            raise MatchingError(f"{path}: views[{k}].boxes: not a list")
         out[v] = []
         for i, bdoc in enumerate(boxes):
-            ctx = f"{path}: views[{v}].boxes[{i}]"
+            ctx = f"{path}: views[{k}].boxes[{i}]"
             corners = {key: _int_field(bdoc, key, ctx)
                        for key in ("x_min", "y_min", "x_max", "y_max")}
             person = _int_field(bdoc, "person", ctx) if "person" in bdoc else i
             try:
-                out[v].append(BoundingBox(view=v, person=person, **corners))
+                box = BoundingBox(view=v, person=person, **corners)
+                box.validate_within(*sizes[v])
             except HeatmapError as e:
                 raise MatchingError(f"{ctx}: {e}") from None
+            out[v].append(box)
     return out

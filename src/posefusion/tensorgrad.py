@@ -28,6 +28,7 @@ raises there too rather than turning it into 0.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -501,11 +502,14 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
     offset = 0
     for entry in entries:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        # exact integers: np.prod wraps at 2**64 and would pass a huge shape
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise TensorGradError(f"checkpoint {path}: truncated payload at '{entry['name']}'")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise TensorGradError(f"checkpoint {path}: parameter '{entry['name']}' "
+                                  "holds non-finite values")
         params[entry["name"]] = Tensor(arr, requires_grad=True)
         offset += nbytes
     if offset != len(payload):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,11 @@ def float_inverse_warp(rec, keep):
         window = (top, left, int(tap_y.max()) + 1 - top, int(tap_x.max()) + 1 - left)
     idx = (tap_y - window[0]) * window[3] + tap_x - window[1]
     return InverseWarp(rows=rows, idx=idx, wts=np.ones((1, rows.size)), window=window)
+
+
+def materialised(scene):
+    """The scene with every view's colour copied into three full writable
+    planes: the reference that a grey view, one plane broadcast to three,
+    must match bit for bit."""
+    return dataclasses.replace(scene, views=[dataclasses.replace(sv, colour=np.array(sv.colour))
+                                             for sv in scene.views])

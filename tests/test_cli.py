@@ -295,6 +295,53 @@ class TestMalformedInputs:
         err = self._error_line(capsys)
         assert str(ckpt) in err and "'conv1_w'" in err
 
+    def test_checkpoint_shape_whose_size_overflows_int64(self, dataset, tmp_path, capsys):
+        # np.prod wrapped 2**124 elements to 0, so the size check passed and
+        # the reshape raised
+        ckpt = tmp_path / "m.ckpt"
+        header = {"params": [{"name": "conv1_w", "shape": [2 ** 62, 2 ** 62]}],
+                  "extra": {"mode": "proposed-3d"}}
+        ckpt.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(64))
+        rc = main(["eval", "--data", str(dataset), "--checkpoint", str(ckpt),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(ckpt) in err and "'conv1_w'" in err
+
+    def test_checkpoint_with_nan_parameter(self, dataset, tmp_path, capsys):
+        from posefusion.pipeline import ToyPredictor
+        from posefusion.tensorgrad import save_checkpoint
+        params = ToyPredictor.initialise(0).params
+        params["conv2_w"].values[1, 2, 0, 1] = np.nan
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, params, extra={"mode": "proposed-3d"})
+        rc = main(["eval", "--data", str(dataset), "--checkpoint", str(ckpt),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(ckpt) in err and "'conv2_w'" in err and "non-finite" in err
+
+    def test_detections_box_past_the_image(self, dataset, tmp_path, capsys):
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps({"views": [{"view": 0, "boxes": [self._BOX]},
+                                             {"view": 1, "boxes": [dict(self._BOX, x_max=1000)]}]}))
+        rc = main(["match", "--scene", str(dataset / "scenes" / "scene_0000"),
+                   "--detections", str(det), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(det) in err and "views[1].boxes[0]" in err and "16x20" in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_detections_of_a_view_the_scene_lacks(self, dataset, tmp_path, capsys):
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps({"views": [{"view": 0, "boxes": []},
+                                             {"view": 9, "boxes": [self._BOX]}]}))
+        rc = main(["match", "--scene", str(dataset / "scenes" / "scene_0000"),
+                   "--detections", str(det), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(det) in err and "views[1]" in err and "'view' 9" in err
+
     @staticmethod
     def _mutated_scene(dataset, tmp_path, mutate):
         scene_dir = tmp_path / "scene"
@@ -353,6 +400,18 @@ class TestMalformedInputs:
         err = self._fuse_error(scene_dir, tmp_path, capsys)
         assert str(scene_dir / "scene.json") in err and field in err
 
+    def test_scene_rotation_entry_of_1e308(self, dataset, tmp_path, capsys):
+        # r.T @ r overflowed first: numpy's warning made stderr three lines,
+        # and under -W error::RuntimeWarning (this suite's setting) a traceback
+        scene_dir = self._mutated_scene(
+            dataset, tmp_path,
+            lambda doc: doc["views"][1]["camera"]["to_reference"].__setitem__(0, 1e308))
+        rc = main(["match", "--scene", str(scene_dir), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        err = self._error_line(capsys)
+        assert str(scene_dir / "scene.json") in err and "views[1]" in err
+        assert "orthonormal" in err
+
     @pytest.mark.parametrize("raw", ["[0.1, 0.2]", '"abc"', "null", "[0.1, NaN, 0.3]",
                                      "[0.1, 1e400, 0.3]"],
                              ids=["two_numbers", "string", "null", "nan", "1e400"])
@@ -393,6 +452,14 @@ class TestMalformedInputs:
         path.write_bytes(path.read_bytes().replace(b'"units"', b'"units\xc3\xa9"', 1))
         err = self._fuse_error(scene_dir, tmp_path, capsys)
         assert str(path) in err and "JSON" in err
+
+    @pytest.mark.parametrize("size", [b"2x 16", b"-20 16"], ids=["letter", "negative"])
+    def test_colour_ppm_size_not_a_decimal_integer(self, dataset, tmp_path, capsys, size):
+        scene_dir = self._mutated_scene(dataset, tmp_path, lambda doc: None)
+        path = scene_dir / "view0_color.ppm"
+        path.write_bytes(path.read_bytes().replace(b"20 16", size, 1))
+        err = self._fuse_error(scene_dir, tmp_path, capsys)
+        assert str(path) in err and "PPM" in err
 
     def _heatmap_dir(self, dataset, tmp_path):
         from posefusion.data import load_scene, make_target_heatmaps

@@ -14,6 +14,7 @@ from posefusion.data import (
     SynthConfig,
     _ball_rects,
     _camera_rig,
+    _read_ppm,
     _rect_pixels,
     _render_depth,
     _sample_person,
@@ -32,6 +33,8 @@ from posefusion.data import (
 from posefusion.fusion import JOINT_NAMES, round_half_up
 from posefusion.geometry import invert_transform, project_point, transform_point
 from posefusion.heatmap import valid_pixel_mask
+
+from conftest import materialised
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +134,72 @@ class TestSceneIO:
         assert len(load_dataset(tmp_path)) == 3
         with pytest.raises(SceneFormatError, match="fold"):
             load_dataset(tmp_path, "day4")
+
+
+def _decoded_ppm(path) -> np.ndarray:
+    """A P6 PPM's pixels decoded as full (3, H, W) planes."""
+    data = open(path, "rb").read()
+    w, h = (int(t) for t in data.split(b"\n")[1].split())
+    img = np.frombuffer(data[-w * h * 3:], dtype=np.uint8).reshape(h, w, 3)
+    return img.transpose(2, 0, 1).astype(np.float64) / 255.0
+
+
+class TestGreyColour:
+    """A grey view holds one shading plane, broadcast read-only to three
+    channels. Everything that reads the colour gives the bits it gives on
+    three full planes."""
+
+    def test_generated_colour_is_a_read_only_broadcast(self, small_scenes):
+        _, train, test = small_scenes
+        for scene in train + test:
+            for sv in scene.views:
+                assert sv.colour.shape == (3, sv.height, sv.width)
+                assert sv.colour.dtype == np.float64
+                assert sv.colour.strides[0] == 0 and not sv.colour.flags.writeable
+                with pytest.raises(ValueError):
+                    sv.colour[0, 0, 0] = 0.5
+
+    def test_saved_bytes_equal_the_materialised_scene(self, small_scenes, tmp_path):
+        _, train, test = small_scenes
+        for k, scene in enumerate(train + test):
+            save_scene(scene, tmp_path / f"grey{k}")
+            save_scene(materialised(scene), tmp_path / f"full{k}")
+            assert _tree_bytes(tmp_path / f"grey{k}") == _tree_bytes(tmp_path / f"full{k}")
+
+    def test_oracle_fusion_equals_the_materialised_scene(self, small_scenes):
+        from posefusion.pipeline import oracle_fusion_mpjpe
+        _, train, test = small_scenes
+        for scene in train + test:
+            assert oracle_fusion_mpjpe(scene) == oracle_fusion_mpjpe(materialised(scene))
+
+    def test_grey_ppm_loads_as_a_broadcast_of_its_values(self, small_scenes, tmp_path):
+        _, train, _ = small_scenes
+        save_scene(train[0], tmp_path / "s")
+        loaded = load_scene(tmp_path / "s")
+        for sv in loaded.views:
+            want = _decoded_ppm(tmp_path / "s" / f"view{sv.view}_color.ppm")
+            assert sv.colour.strides[0] == 0 and not sv.colour.flags.writeable
+            assert np.array(sv.colour).tobytes() == want.tobytes()
+
+    def test_every_grey_level_decodes_to_its_old_value(self, tmp_path):
+        path = tmp_path / "levels.ppm"
+        levels = np.repeat(np.arange(256, dtype=np.uint8), 3)
+        path.write_bytes(b"P6\n16 16\n255\n" + levels.tobytes())
+        got = _read_ppm(path)
+        assert got.strides[0] == 0
+        assert np.array(got).tobytes() == _decoded_ppm(path).tobytes()
+
+    def test_ppm_with_one_coloured_byte_loads_as_full_planes(self, small_scenes, tmp_path):
+        _, train, _ = small_scenes
+        save_scene(train[0], tmp_path / "s")
+        path = tmp_path / "s" / "view1_color.ppm"
+        data = bytearray(path.read_bytes())
+        data[-2] ^= 1  # the green byte of the last pixel
+        path.write_bytes(bytes(data))
+        sv = load_scene(tmp_path / "s").views[1]
+        assert sv.colour.flags.writeable and sv.colour.strides[0] != 0
+        assert sv.colour.tobytes() == _decoded_ppm(path).tobytes()
+        assert sv.colour[1, -1, -1] != sv.colour[0, -1, -1]
 
 
 def _reference_scene_json(scene) -> str:

@@ -43,7 +43,7 @@ from posefusion.pipeline import (
 )
 from posefusion.tensorgrad import Tape, Tensor, backward, finite_difference_check
 
-from conftest import float_inverse_warp, random_rigid
+from conftest import float_inverse_warp, materialised, random_rigid
 
 
 @pytest.fixture(scope="module")
@@ -760,6 +760,33 @@ class TestTraining:
         for augment in (True, False):
             with pytest.raises(PipelineError, match="^cfg.json: "):
                 TrainConfig.from_dict({**doc, "augment": augment}, "cfg.json")
+
+
+class TestGreyColour:
+    """Grey views hold one shading plane broadcast to three channels;
+    training and evaluation give the bits of three full planes."""
+
+    @pytest.mark.parametrize("mode", TrainConfig.MODES)
+    def test_train_matches_materialised_colour(self, tiny_scenes, mode):
+        train_s = tiny_scenes[0]
+        assert all(sv.colour.strides[0] == 0 for s in train_s for sv in s.views)
+        # the default config augments with flips, rotations and jitter
+        cfg = TrainConfig(mode=mode, epochs=2, seed=3)
+        assert cfg.augment and cfg.flip_prob > 0 and cfg.rot_deg_max > 0
+        grey = train(cfg, train_s)
+        full = train(cfg, [materialised(s) for s in train_s])
+        assert grey.loss_curve == full.loss_curve
+        assert grey.best_epoch == full.best_epoch
+        for name, p in grey.predictor.params.items():
+            assert p.values.tobytes() == full.predictor.params[name].values.tobytes(), name
+
+    @pytest.mark.parametrize("mode", TrainConfig.MODES)
+    def test_report_matches_materialised_colour(self, mode):
+        _, scenes = generate_synthetic(SynthConfig(train_scenes=0, test_scenes=6, seed=505,
+                                                   occlusion_drop=0.35))
+        predictor = ToyPredictor.initialise(1)
+        assert (evaluate(scenes, mode, predictor).to_json()
+                == evaluate([materialised(s) for s in scenes], mode, predictor).to_json())
 
 
 class TestEvaluation:
